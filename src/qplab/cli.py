@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 hypothesis violation (soft), 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .cocycle import (
     transfer,
     _transfer_grid,
 )
-from .udspace import FourierSeries, MatSeries, Modulus, log_norm_mr, norm_lambda, rotation_series
+from .udspace import FourierSeries, Modulus, log_norm_mr, norm_lambda, rotation_series
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,13 +69,10 @@ class ExperimentConfig:
     modulus_param: float = 0.0
     mode: str = "measured"
     seed: int = 0
-    threads: int = 1
     grid: int = 128
     n: int = 1000
     out_dir: str = ""
     out: str = ""
-
-    KNOWN = None  # filled after class creation
 
     @classmethod
     def from_sources(cls, command: str, config_path, flag_items: dict) -> "ExperimentConfig":
@@ -207,19 +205,14 @@ def cmd_cohom(cfg: ExperimentConfig) -> int:
     e = contfrac.expand(cfg.alpha, max(cfg.depth, 8), cfg.prec)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    worst = 0.0
     for i in range(8):
         K = int(rng.integers(2, 13))
         c = rng.normal(size=2 * K + 1) * np.exp(-0.3 * np.abs(np.arange(-K, K + 1)))
         g = FourierSeries((c + np.conj(c[::-1])) / 2.0 + 0j, True)
         sol = kam.solve_cohomological(g, e.alpha, Q=cfg.q)
         rows.append((i, K, sol["residual"], sol["divisor_floor"]))
-        worst = max(worst, sol["residual"])
     _write(cfg.resolve_out("cohom.csv"), _csv(rows, ["trial", "K", "residual", "divisor_floor"]))
     return EXIT_OK
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=4)
@@ -239,7 +232,7 @@ def _driver_setup(cfg: ExperimentConfig):
         return FourierSeries(amp * (c + np.conj(c[::-1])) / 2.0, True)
 
     x, y, z = (small_real(cfg.eps) for _ in range(3))
-    F = MatSeries.from_entries(x, y + z, y - z, x * (-1.0))
+    F = FourierSeries.from_entries(x, y + z, y - z, x * (-1.0))
     E = F.exp_map(out_K=3 * K0)
     R = rotation_series(FourierSeries.constant(cfg.rho), out_K=2)
     A0 = R.mat_mul(E, out_K=3 * K0 + 4, tail_tol=None)
@@ -413,7 +406,7 @@ COMMANDS = {
 }
 
 _FLOAT_FLAGS = ["A", "lam", "E", "rho", "gamma", "tau", "v", "eps", "r0", "kappa", "modulus_param"]
-_INT_FLAGS = ["depth", "prec", "K", "q", "p", "levels", "steps", "seed", "threads", "grid", "n"]
+_INT_FLAGS = ["depth", "prec", "K", "q", "p", "levels", "steps", "seed", "grid", "n"]
 _STR_FLAGS = ["alpha", "modulus", "mode", "out_dir", "out"]
 
 

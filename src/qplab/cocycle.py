@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sl2
 from .contfrac import CfExpansion
-from .udspace import FourierSeries, MatSeries
+from .udspace import FourierSeries
 
 RESCALE_EVERY = 32
 
@@ -67,17 +67,17 @@ class Sl2Mat:
 class QpCocycle:
     """(alpha, A): base rotation by alpha, fiber A(theta) in SL(2,R).
 
-    The fiber is either a MatSeries or an exact closure theta -> (2,2) array
+    The fiber is either a 2x2 FourierSeries or an exact closure theta -> (2,2) array
     (used for Schrodinger/AMO fibers so no Fourier truncation enters).
     """
 
     alpha: float
     fiber: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    series: Optional[MatSeries] = None
+    series: Optional[FourierSeries] = None
 
     @classmethod
-    def from_series(cls, alpha: float, A: MatSeries, label: str = "") -> "QpCocycle":
+    def from_series(cls, alpha: float, A: FourierSeries, label: str = "") -> "QpCocycle":
         return cls(alpha, lambda th: A(th), label, series=A)
 
     def __call__(self, theta):
@@ -107,32 +107,18 @@ def schrodinger(V: FourierSeries, E: float, alpha: float = 0.0) -> QpCocycle:
         raise ValueError("potential must be real-valued")
 
     def fiber(th):
-        th = np.asarray(th, dtype=float)
-        v = np.real(V(th))
-        out = np.zeros(th.shape + (2, 2))
-        out[..., 0, 0] = E - v
-        out[..., 0, 1] = -1.0
-        out[..., 1, 0] = 1.0
-        return out
+        return sl2.schrodinger_fiber(np.real(V(th)), E)
 
     return QpCocycle(alpha, fiber, label=f"schrodinger(E={E})")
 
 
 def amo(lam: float, E: float, alpha: float = 0.0) -> QpCocycle:
     """Almost Mathieu fiber with the 1-periodic convention V = 2 lam cos(2 pi theta)."""
-    c = QpCocycle(alpha, None, label=f"amo(lambda={lam},E={E})")
 
     def fiber(th):
-        th = np.asarray(th, dtype=float)
-        v = 2.0 * lam * np.cos(2.0 * np.pi * th)
-        out = np.zeros(th.shape + (2, 2))
-        out[..., 0, 0] = E - v
-        out[..., 0, 1] = -1.0
-        out[..., 1, 0] = 1.0
-        return out
+        return sl2.schrodinger_fiber(2.0 * lam * np.cos(2.0 * np.pi * np.asarray(th, dtype=float)), E)
 
-    c.fiber = fiber
-    return c
+    return QpCocycle(alpha, fiber, label=f"amo(lambda={lam},E={E})")
 
 
 def rotation_cocycle(alpha: float, rho: float) -> QpCocycle:
@@ -360,5 +346,5 @@ def parse_cocycle_config(cfg: dict) -> QpCocycle:
         co = (np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)).reshape(
             2, 2, 2 * K + 1
         )
-        return QpCocycle.from_series(alpha, MatSeries(co), label="matseries")
+        return QpCocycle.from_series(alpha, FourierSeries(co, True), label="matseries")
     raise ValueError("unrecognized fiber declaration")

@@ -22,7 +22,6 @@ from . import sl2
 from .contfrac import BridgeSelection
 from .udspace import (
     FourierSeries,
-    MatSeries,
     Modulus,
     _grid_size,
     gamma_of_log_sat,
@@ -160,21 +159,21 @@ class Su11Series:
         return Su11Series(th, self.v)
 
 
-def sl2_to_su(x: MatSeries) -> Su11Series:
+def sl2_to_su(x: FourierSeries) -> Su11Series:
     e11, e12, e21 = x.entry(0, 0), x.entry(0, 1), x.entry(1, 0)
     t = FourierSeries((e12.coeffs - e21.coeffs) / 2.0, True)
     v = FourierSeries(e11.coeffs - 1j * (e12.coeffs + e21.coeffs) / 2.0, False)
     return Su11Series(t, v)
 
 
-def su_to_sl2(w: Su11Series) -> MatSeries:
+def su_to_sl2(w: Su11Series) -> FourierSeries:
     K = w.K
     t = w.t.pad_to(K)
     v = w.v.pad_to(K)
     vbar = v.conj_series()
     x = FourierSeries((v.coeffs + vbar.coeffs) / 2.0, True)
     y = FourierSeries(1j * (v.coeffs - vbar.coeffs) / 2.0, True)  # y = -Im v
-    return MatSeries.from_entries(x, y + t, y - t, x * (-1.0))
+    return FourierSeries.from_entries(x, y + t, y - t, x * (-1.0))
 
 
 def split_resonant(w: Su11Series, Q_half: float) -> dict:
@@ -191,13 +190,9 @@ def _exp_su_vals(t_vals: np.ndarray, v_vals: np.ndarray):
     """(da, b) of exp of the algebra element with grid values (t, v)."""
     m2 = np.abs(v_vals) ** 2 - t_vals**2
     mu = np.sqrt(np.abs(m2))
-    small = np.abs(m2) < 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sc = np.where(m2 >= 0, np.sinh(mu) / np.where(mu == 0, 1.0, mu),
-                      np.sin(mu) / np.where(mu == 0, 1.0, mu))
-        chm1 = np.where(m2 >= 0, 2.0 * np.sinh(mu / 2.0) ** 2, -2.0 * np.sin(mu / 2.0) ** 2)
-    sc = np.where(small, 1.0 + m2 / 6.0 + m2 * m2 / 120.0, sc)
-    chm1 = np.where(small, m2 / 2.0 * (1.0 + m2 / 12.0), chm1)
+    sc = sl2._sinhc(m2)
+    chm1 = np.where(m2 >= 0, 2.0 * np.sinh(mu / 2.0) ** 2, -2.0 * np.sin(mu / 2.0) ** 2)
+    chm1 = np.where(np.abs(m2) < 1e-12, m2 / 2.0 * (1.0 + m2 / 12.0), chm1)
     da = chm1 + 1j * t_vals * sc
     b = v_vals * sc
     return da, b
@@ -276,8 +271,7 @@ def homotopy_conjugate(
         e3 = _exp_su_vals(np.zeros(G), -y_vals)
         p = _mul_su(_mul_su(e1, e2), e3)
         t_log, v_log = _log_su_vals(p)
-        v_spec = np.fft.fft(v_log) / G
-        v_co = v_spec[ks % G]
+        v_co = FourierSeries.from_values(v_log, K, tail_tol=None).coeffs
         f_co = np.where(nre_mask, v_co, 0.0)
         return f_co, (t_log, v_log), p
 
@@ -316,13 +310,8 @@ def homotopy_conjugate(
         raise NewtonDivergence(f"not converged after {max_iter} iterations; trace={trace}")
 
     t_log, v_log = logs
-    t_spec = np.fft.fft(t_log) / G
-    v_spec = np.fft.fft(v_log) / G
-    t_co = t_spec[ks % G]
-    v_co = v_spec[ks % G]
-    g_re = Su11Series(
-        FourierSeries(t_co, True), FourierSeries(v_co, False)
-    ).hermitize()
+    g_v = FourierSeries.from_values(v_log, K, False, tail_tol=None)
+    g_re = Su11Series(FourierSeries.from_values(t_log, K, True, tail_tol=None), g_v).hermitize()
     Y = Su11Series(FourierSeries.zero(K), FourierSeries(y, False))
 
     # a-posteriori conjugation residual on the grid, all in deviation form
@@ -330,7 +319,7 @@ def homotopy_conjugate(
     da_d = p[0] - e_re[0]
     b_d = p[1] - e_re[1]
     residual = float(max(np.max(np.abs(da_d)), np.max(np.abs(b_d))))
-    nre_leak = float(np.sum(np.abs(np.where(nre_mask, v_co, 0.0))))
+    nre_leak = float(np.sum(np.abs(np.where(nre_mask, g_v.coeffs, 0.0))))
     return {
         "Y": Y,
         "g_re": g_re,
@@ -436,14 +425,14 @@ class KamState:
     alpha: float
     rho_f: float
     g: FourierSeries
-    F: MatSeries
+    F: FourierSeries
     ln_r: float
     ln_rbar: float
     log_eps_measured: float
-    conj: Optional[MatSeries] = None  # accumulated conjugation as a series
+    conj: Optional[FourierSeries] = None  # accumulated conjugation as a series
     meta: dict = field(default_factory=dict)
 
-    def cocycle_series(self, out_K: Optional[int] = None) -> MatSeries:
+    def cocycle_series(self, out_K: Optional[int] = None) -> FourierSeries:
         rot_arg = FourierSeries(self.g.coeffs / (2.0 * math.pi), True) + FourierSeries.constant(
             self.rho_f
         )
@@ -452,7 +441,7 @@ class KamState:
         return R.mat_mul(E, out_K=R.K, tail_tol=None)
 
 
-def _rot_conj_series(F: MatSeries, v: FourierSeries, sign: float, out_K: int) -> MatSeries:
+def _rot_conj_series(F: FourierSeries, v: FourierSeries, sign: float, out_K: int) -> FourierSeries:
     """e^{sign * v J} F e^{-sign * v J} pointwise on the grid; F small, rotations O(1)."""
     G = _grid_size(max(2 * out_K, 2 * (F.K + 2 * v.K) + 8))
     th = np.arange(G) / G
@@ -460,7 +449,7 @@ def _rot_conj_series(F: MatSeries, v: FourierSeries, sign: float, out_K: int) ->
     R = sl2.rot(-ang)
     Rinv = sl2.rot(ang)
     vals = R @ F.values(G) @ Rinv
-    return MatSeries.from_values(vals, out_K, F.real_flag, tail_tol=None)
+    return FourierSeries.from_values(vals, out_K, F.real_flag, tail_tol=None)
 
 
 def kam_step(
@@ -519,7 +508,7 @@ def kam_step(
     E_F = sl2.sl2_expm1(Fbar.values(G))
     dev = dev_R[None, :, :] + E_F + dev_R[None, :, :] @ E_F
     Ftilde_vals = sl2.sl2_log_dev(dev)
-    Ftilde = MatSeries.from_values(Ftilde_vals, K_work, True, tail_tol=None)
+    Ftilde = FourierSeries.from_values(Ftilde_vals, K_work, True, tail_tol=None)
 
     # -- (ii) su(1,1) homotopy conjugation + resonant re-truncation ----------
     W = sl2_to_su(Ftilde).hermitize()
@@ -572,9 +561,9 @@ def kam_step(
     Psi_dev_norm = float(np.max(sl2.frob(Phi_vals - np.eye(2))))
     if conj is not None:
         conj_vals = Phi_vals @ conj.values(Gc)
-        conj = MatSeries.from_values(conj_vals, min(conj.K + K_work, 4 * K_work), True, tail_tol=None)
+        conj = FourierSeries.from_values(conj_vals, min(conj.K + K_work, 4 * K_work), True, tail_tol=None)
     else:
-        conj = MatSeries.from_values(Phi_vals, K_work, True, tail_tol=None)
+        conj = FourierSeries.from_values(Phi_vals, K_work, True, tail_tol=None)
 
     meta = dict(state.meta)
     meta.update(
@@ -606,7 +595,7 @@ def kam_step(
 def initial_state(
     alpha: float,
     rho_f: float,
-    F: MatSeries,
+    F: FourierSeries,
     M: Modulus,
     sel: BridgeSelection,
     r0: float = 0.5,
@@ -626,10 +615,10 @@ def initial_state(
     )
 
 
-def conjugation_residual(state: KamState, A0: MatSeries, G: int = 512) -> float:
+def conjugation_residual(state: KamState, A0: FourierSeries, G: int = 512) -> float:
     """sup-grid norm of B(.+alpha) A0(.) B(.)^{-1} - R_{rho_f + g/2pi} e^{F}."""
     if state.conj is None:
-        B = MatSeries.constant(np.eye(2))
+        B = FourierSeries.constant(np.eye(2))
     else:
         B = state.conj
     th = np.arange(G) / G
@@ -643,7 +632,7 @@ def conjugation_residual(state: KamState, A0: MatSeries, G: int = 512) -> float:
 
 def almost_reducibility_driver(
     alpha: float,
-    A0: MatSeries,
+    A0: FourierSeries,
     rho_f: float,
     M: Modulus,
     sel: BridgeSelection,
@@ -664,7 +653,7 @@ def almost_reducibility_driver(
     R = rotation_series(FourierSeries.constant(rho_f), out_K=2)
     G = _grid_size(4 * max(A0.K, K_work))
     dev = sl2.rot(-rho_f)[None, :, :] @ (A0 - R).values(G)
-    F0 = MatSeries.from_values(sl2.sl2_log_dev(dev), K_work, True, tail_tol=None)
+    F0 = FourierSeries.from_values(sl2.sl2_log_dev(dev), K_work, True, tail_tol=None)
     state = initial_state(alpha, rho_f, F0, M, sel, r0)
     sched = None
     if mode == "strict":

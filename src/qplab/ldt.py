@@ -18,7 +18,7 @@ from . import sl2
 from .contfrac import CfExpansion
 from .cocycle import QpCocycle, _transfer_grid, finite_lyapunov
 from .sl2 import safe_log_int
-from .udspace import FourierSeries, MatSeries
+from .udspace import FourierSeries
 
 
 class ScalesInvalid(Exception):
@@ -243,7 +243,7 @@ def ldt_experiment(
 # ---------------------------------------------------------------------------
 
 
-def gevrey_truncate(A: MatSeries, N: int, nu: float, rho: float, delta: float,
+def gevrey_truncate(A: FourierSeries, N: int, nu: float, rho: float, delta: float,
                     norm_bound: Optional[float] = None) -> dict:
     """Truncate a Gevrey cocycle at N-tilde = N^(b/nu) and certify the error.
 
@@ -285,7 +285,7 @@ def gevrey_truncate(A: MatSeries, N: int, nu: float, rho: float, delta: float,
     }
 
 
-def strip_log_norm_bound(A_tr: MatSeries, rho_N: float, N: int, alpha: float,
+def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float,
                          samples: int = 64) -> dict:
     """|u_N| = |ln ||A_N(. + i rho_N)|| / N| on the strip boundary vs max(ln 2, C1).
 
@@ -315,7 +315,7 @@ def strip_log_norm_bound(A_tr: MatSeries, rho_N: float, N: int, alpha: float,
             "ok": worst <= max(math.log(2.0), C1) + 1e-9}
 
 
-def lyapunov_truncation_gap(c_full: QpCocycle, A_tr: MatSeries, alpha: float, N: int,
+def lyapunov_truncation_gap(c_full: QpCocycle, A_tr: FourierSeries, alpha: float, N: int,
                             log_c: float, b: float, grid: int = 128) -> dict:
     """|L_N(alpha, A) - L_N(alpha, A-tilde)| against e^{-(c/2) N^b}."""
     full = QpCocycle(alpha, c_full.fiber)

@@ -35,8 +35,17 @@ def rot(g):
     return out
 
 
-def mmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
+def schrodinger_fiber(v, E) -> np.ndarray:
+    """Schrodinger fibers [[E - v, -1], [1, 0]] for potential values v and energies E.
+
+    v and E broadcast against each other; the result has their shape + (2, 2).
+    """
+    d = E - v
+    out = np.zeros(np.shape(d) + (2, 2))
+    out[..., 0, 0] = d
+    out[..., 0, 1] = -1.0
+    out[..., 1, 0] = 1.0
+    return out
 
 
 def det2(m: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .sl2 import schrodinger_fiber
 from .udspace import FourierSeries
 
 
@@ -125,18 +126,6 @@ def set_distance(a: BandSet, b: BandSet) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_vals(V: Callable[[np.ndarray], np.ndarray], E, thetas: np.ndarray) -> np.ndarray:
-    """Schrodinger fibers [[E - V, -1], [1, 0]] for array E and theta."""
-    v = V(thetas)
-    E = np.asarray(E, dtype=float)
-    shape = np.broadcast_shapes(E.shape, np.asarray(thetas).shape)
-    out = np.zeros(shape + (2, 2))
-    out[..., 0, 0] = E - v
-    out[..., 0, 1] = -1.0
-    out[..., 1, 0] = 1.0
-    return out
-
-
 @dataclass
 class Discriminant:
     """t_{p/q}(E, theta) with its E-derivative; V given as a real series."""
@@ -160,7 +149,7 @@ class Discriminant:
         shape = np.broadcast_shapes(E.shape, th.shape)
         acc = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
         for s in range(self.q):
-            acc = _fiber_vals(self._vfun, E, np.broadcast_to(th + s * self.p / self.q, shape)) @ acc
+            acc = schrodinger_fiber(self._vfun(np.broadcast_to(th + s * self.p / self.q, shape)), E) @ acc
         return acc
 
     def value(self, E, theta) -> np.ndarray:
@@ -173,7 +162,7 @@ class Discriminant:
         th = np.asarray(theta, dtype=float)
         shape = np.broadcast_shapes(E.shape, th.shape)
         mats = [
-            _fiber_vals(self._vfun, E, np.broadcast_to(th + s * self.p / self.q, shape))
+            schrodinger_fiber(self._vfun(np.broadcast_to(th + s * self.p / self.q, shape)), E)
             for s in range(self.q)
         ]
         pre = [np.broadcast_to(np.eye(2), shape + (2, 2)).copy()]
@@ -262,7 +251,9 @@ def band_edges(V: FourierSeries, p: int, q: int, theta: float, window=None,
 
     Critical points of t are isolated first; on each monotone piece the
     crossings of +-2 are bisected.  A critical value within touch_tol of +-2
-    is registered as a tangency (double edge / closed gap).
+    is registered as a tangency (double edge / closed gap); t is monotone on
+    the two pieces meeting there, so neither holds another crossing of that
+    level and neither is searched for one.
     """
     d = Discriminant(V, p, q)
     lo, hi = window or e_window(V)
@@ -289,23 +280,24 @@ def band_edges(V: FourierSeries, p: int, q: int, theta: float, window=None,
     pieces = [lo] + list(crit) + [hi]
     edges = []
     touch = []
-    for c in crit:
+    tangent_levels = set()  # (piece index, level) pairs not to search
+    for j, c in enumerate(crit):
         tc = float(d.value(np.asarray(c), np.asarray(theta)))
         if abs(abs(tc) - 2.0) <= touch_tol:
             edges.extend([c, c])
             touch.append(c)
+            lvl = math.copysign(2.0, tc)
+            tangent_levels |= {(j, lvl), (j + 1, lvl)}
     for i in range(len(pieces) - 1):
         a, b = pieces[i], pieces[i + 1]
         ta = float(d.value(np.asarray(a), np.asarray(theta)))
         tb = float(d.value(np.asarray(b), np.asarray(theta)))
         for lvl in (2.0, -2.0):
             fa, fb = ta - lvl, tb - lvl
-            if (fa < 0) != (fb < 0):
-                r = _bisect(lambda e: float(d.value(np.asarray(e), np.asarray(theta))) - lvl, a, b)
-                # a sign flip right at a tangency is the tangency itself
-                if any(abs(r - c) <= 1e-6 * (1.0 + abs(c)) for c in touch):
-                    continue
-                edges.append(r)
+            if (i, lvl) not in tangent_levels and (fa < 0) != (fb < 0):
+                edges.append(
+                    _bisect(lambda e: float(d.value(np.asarray(e), np.asarray(theta))) - lvl, a, b)
+                )
     edges.sort()
     if len(edges) != 2 * q:
         raise RootIsolationError(f"isolated {len(edges)} band edges, expected {2 * q}")

@@ -103,7 +103,7 @@ def test_su_roundtrip(rng):
     z = random_real_series(rng, 4)
     X = MatSeries.from_entries(x, y + z, y - z, x * (-1.0))
     back = su_to_sl2(sl2_to_su(X))
-    assert (back - X.pad_to(back.K)).sup_bound() <= 1e-13 * max(X.sup_bound(), 1.0)
+    assert (back - X.pad_to(back.K)).l1() <= 1e-13 * max(X.l1(), 1.0)
 
 
 def test_homotopy_zero_input():
@@ -146,9 +146,9 @@ def test_kam_step_identity_state(deep_selection):
     cf, sel = deep_selection
     st = initial_state(GOLDEN, 0.25, MatSeries.constant(np.zeros((2, 2))), MA, sel)
     nxt = kam_step(st, sel, MA, gamma=0.1, tau=1.5)
-    assert nxt.F.sup_bound() == 0.0
+    assert nxt.F.l1() == 0.0
     assert nxt.g.l1() == 0.0
-    assert (nxt.conj - MatSeries.constant(np.eye(2)).pad_to(nxt.conj.K)).sup_bound() <= 1e-14
+    assert (nxt.conj - MatSeries.constant(np.eye(2)).pad_to(nxt.conj.K)).l1() <= 1e-14
 
 
 def test_schedule_formula_arithmetic(golden_cf):

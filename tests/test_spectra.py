@@ -98,6 +98,16 @@ def test_band_count_and_containment():
             assert ss["S_plus"].contains(mid, tol=1e-7)
 
 
+def test_band_edges_tangency_on_crossing_level():
+    # at lam=0.5, p/q=5/8, theta=0 two bands touch where t = 2 to rounding; the
+    # monotone pieces meeting there hold no further crossing of that level
+    q = 8
+    be = band_edges(VAM(0.5), 5, q, theta=0.0)
+    assert len(be["edges"]) == 2 * q and len(be["touchings"]) == 1
+    tv = Discriminant(VAM(0.5), 5, q).value(np.asarray(be["edges"]), np.asarray(0.0))
+    assert np.max(np.abs(np.abs(tv) - 2.0)) <= 1e-8
+
+
 def test_band_total_measure_bounded():
     lam = 0.7
     bs = band_set(VAM(lam), 1, 3, theta=0.2)

@@ -215,9 +215,9 @@ def test_exp_map_inverse(rng):
     z = random_real_series(rng, 4, amp=0.3)
     X = MatSeries.from_entries(x, y + z, y - z, x * (-1.0))
     E = X.exp_map(out_K=40)
-    P = E.mat_mul(X.scale(-1.0).exp_map(out_K=40), out_K=48)
+    P = E.mat_mul((X * (-1.0)).exp_map(out_K=40), out_K=48)
     dev = P - MatSeries.constant(np.eye(2)).pad_to(P.K)
-    assert dev.sup_bound() <= 1e-10
+    assert dev.l1() <= 1e-10
     assert E.det_drift() <= 1e-10
 
 
@@ -225,7 +225,7 @@ def test_log_map_inverts_exp(rng):
     x = random_real_series(rng, 3, amp=0.2)
     X = MatSeries.from_entries(x, x * 0.5, x * 0.25, x * (-1.0))
     L = X.exp_map(out_K=24).log_map(out_K=10, tail_tol=None)
-    assert (L - X.pad_to(L.K)).sup_bound() <= 1e-10
+    assert (L - X.pad_to(L.K)).l1() <= 1e-10
 
 
 def test_log_map_branch_error():
@@ -259,6 +259,38 @@ def test_series_json_roundtrip(rng):
     f = FourierSeries(rng.normal(size=9) + 1j * rng.normal(size=9))
     g = FourierSeries.from_json(f.to_json())
     assert np.allclose(g.coeffs, f.coeffs)
+
+
+def test_matrix_series_acts_entrywise(rng):
+    # a 2x2 series is the same type as a scalar one: every operation acts on
+    # its four entries independently
+    ents = [FourierSeries(rng.normal(size=11) + 1j * rng.normal(size=11)) for _ in range(4)]
+    A = MatSeries.from_entries(*ents)
+    pos = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def assert_entrywise(mat_vals, entry_vals):
+        for (i, j), v in zip(pos, entry_vals):
+            np.testing.assert_allclose(mat_vals[..., i, j], v, rtol=0, atol=1e-13)
+
+    th = rng.uniform(size=(3, 4))
+    assert A(th).shape == (3, 4, 2, 2) and A(0.3).shape == (2, 2)
+    assert_entrywise(A(th), [e(th) for e in ents])
+    assert_entrywise(A(0.3), [e(0.3) for e in ents])
+    assert A.values(32).shape == (32, 2, 2)
+    assert_entrywise(A.values(32), [e.values(32) for e in ents])
+    back = FourierSeries.from_values(A.values(32), A.K)
+    assert_entrywise(np.moveaxis(back.coeffs, -1, 0),
+                     [FourierSeries.from_values(e.values(32), A.K).coeffs for e in ents])
+    with pytest.raises(AliasingError):
+        FourierSeries.from_values(A.values(32), 2)
+    for op in (lambda f: f.pad_to(8), lambda f: f.truncate(3), lambda f: f.shift(0.37),
+               lambda f: f.derive(), lambda f: f.conj_series()):
+        out = op(A)
+        for (i, j), e in zip(pos, ents):
+            assert np.array_equal(out.coeffs[i, j], op(e).coeffs)
+    for M in (A, rotation_series(FourierSeries.constant(0.25), out_K=2)):
+        again = FourierSeries.from_json(M.to_json(), real_flag=M.real_flag)
+        assert np.array_equal(again.coeffs, M.coeffs) and again.real_flag == M.real_flag
 
 
 @settings(max_examples=25, deadline=None)
