@@ -10,6 +10,7 @@ underflow quickly.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -330,10 +331,29 @@ class BridgeSelection:
 def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     """Greedy left-to-right CD-bridge selection with one-step backtracking.
 
-    Starts at the last index with q = 1 and extends with the smallest
-    admissible next denominator; admissibility is decided in log domain so
-    that multi-thousand-digit convergents stay cheap.  Correctness is
-    certified by `BridgeSelection.check_invariants`, not by construction.
+    Starts at the last index with q = 1.  Level k, at index cur, extends
+    with the smallest index m > cur that
+      - stays under the growth cap q_m <= q_{cur+1}^(A^4),
+      - was not rejected at this level before,
+      - forms a CD(A, A, A^3) bridge (q_cur, q_m) if level k owes its
+        forward bridge, and
+      - is a route-1 index (q_{m+1} >= q_m^A) or forms a bridge
+        (q_{cur+1}, q_m); in the second case the new level owes its
+        forward bridge.
+    A level that owes its forward bridge and finds no successor is popped
+    and its index rejected one level up, at most 200 times; the longest
+    chain seen is returned, flagged range-exhausted.
+
+    Admissibility is decided in log domain so that multi-thousand-digit
+    convergents stay cheap.  log q_k is nondecreasing in k, so the growth
+    cap is a prefix of the indices and the bridges (q_m, q_n) from a fixed
+    m are one contiguous window of n, cut off at the first chain break
+    after m.  Each step finds these ranges by bisection and the next
+    route-1 index in a sorted list, and skips rejected indices one by
+    one, so a step costs O(log n) predicate calls instead of a rescan of
+    the expansion; the O(n) set-up of log q and the certificate dominate.
+    Correctness is certified by `BridgeSelection.check_invariants`, not by
+    construction.
     """
     if A < 1:
         raise ValueError("A must be >= 1")
@@ -355,12 +375,26 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     for i in range(last, -1, -1):
         nxt_break[i] = i if not chain_ok(i) else nxt_break[i + 1]
 
-    def bridge(m, n):  # CD(A, A, A^3) in log domain
-        if m > n:
-            return False
-        if nxt_break[m] < n:
-            return False
-        return (A * lq[m] - tol <= lq[n] + tol) and (lq[n] <= A**3 * lq[m] + tol * max(1.0, A**3 * lq[m]))
+    # CD(A, A, A^3) in log domain: bridge(m, n) holds iff m <= n <= nxt_break[m],
+    # reaches(m, n) and within(m, n), both monotone in n because lq is nondecreasing
+    def reaches(m, n):
+        return A * lq[m] - tol <= lq[n] + tol
+
+    def within(m, n):
+        return lq[n] <= A**3 * lq[m] + tol * max(1.0, A**3 * lq[m])
+
+    def first(lo, hi, pred):  # smallest n in [lo, hi) with pred(n), pred false-then-true
+        return bisect.bisect_left(range(lo, hi), True, key=pred) + lo
+
+    def window(m):  # [lo, hi) with bridge(m, n) iff lo <= n < hi
+        end = nxt_break[m] + 1
+        lo = first(m, end, lambda n: reaches(m, n))
+        return lo, max(lo, first(m, end, lambda n: not within(m, n)))
+
+    def over_cap(cur, m):  # growth cap, monotone in m
+        return lq[m] > (A**4) * lq[cur + 1] + tol * max(1.0, (A**4) * lq[cur + 1])
+
+    route1_at = [i for i in range(last + 1) if route1(i)] + [last + 1]
 
     n0 = max(i for i in range(last + 1) if q[i] == 1)
     idx = [n0]
@@ -371,17 +405,24 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     while pops < 200:
         k = len(idx) - 1
         cur = idx[k]
+        lo, hi = cur + 1, first(cur + 1, last + 1, lambda m: over_cap(cur, m))
+        if owes[k]:
+            b_lo, b_hi = window(cur)
+            lo, hi = max(lo, b_lo), min(hi, b_hi)
         found = None
-        for m in range(cur + 1, last + 1):
-            if lq[m] > (A**4) * lq[cur + 1] + tol * max(1.0, (A**4) * lq[cur + 1]):
-                break  # growth cap, monotone in m
-            if m in tried[k]:
-                continue
-            if owes[k] and not bridge(cur, m):
-                continue
-            if route1(m) or bridge(cur + 1, m):
-                found = m
-                break
+        if lo < hi:
+            w_lo, w_hi = window(cur + 1)
+            m = lo
+            while m < hi:
+                nxt = route1_at[bisect.bisect_left(route1_at, m)]
+                if max(m, w_lo) < w_hi:
+                    nxt = min(nxt, max(m, w_lo))
+                if nxt >= hi:
+                    break
+                if nxt not in tried[k]:
+                    found = nxt
+                    break
+                m = nxt + 1
         if found is None:
             if len(idx) > len(best):
                 best = list(idx)  # longest selection so far; tail may stay pending

@@ -548,7 +548,6 @@ def kam_step(
     log_eps_next = log_norm_mr_ln(F_next, M, ln_r_next)
 
     # step conjugation Phi_n = e^{v_n J} Psi_n e^{-v_n J}, Psi_n = exp(Y in sl2)
-    Psi_dev_norm = None
     conj = state.conj
     Y_sl2 = su_to_sl2(Y)
     Gc = _grid_size(2 * max(K_work, Y_sl2.K, v_n.K * 2) + 8)
@@ -556,9 +555,10 @@ def kam_step(
     ang = np.real(v_n(thc)) / (2.0 * math.pi)
     Rv = sl2.rot(-ang)  # e^{v J}
     Rvinv = sl2.rot(ang)
-    Psi_vals = sl2.sl2_exp(Y_sl2.values(Gc))
-    Phi_vals = Rv @ Psi_vals @ Rvinv
-    Psi_dev_norm = float(np.max(sl2.frob(Phi_vals - np.eye(2))))
+    Y_vals = Y_sl2.values(Gc)
+    Phi_vals = Rv @ sl2.sl2_exp(Y_vals) @ Rvinv
+    # Phi_n - I = e^{v J} (exp(Y) - I) e^{-v J}, so the distance is not floored at eps
+    Psi_dev_norm = float(np.max(sl2.frob(Rv @ sl2.sl2_expm1(Y_vals) @ Rvinv)))
     if conj is not None:
         conj_vals = Phi_vals @ conj.values(Gc)
         conj = FourierSeries.from_values(conj_vals, min(conj.K + K_work, 4 * K_work), True, tail_tol=None)

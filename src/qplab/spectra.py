@@ -11,12 +11,13 @@ touchings (closed gaps) are found reliably.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .sl2 import schrodinger_fiber
+from .sl2 import frob, schrodinger_fiber
 from .udspace import FourierSeries
 
 
@@ -26,6 +27,10 @@ class RootIsolationError(Exception):
 
 class BandIndexAmbiguous(Exception):
     """E sits within tolerance of a band edge; the band index is undefined."""
+
+
+class ResolutionWarning(UserWarning):
+    """A result is not above the float64 rounding floor of its computation."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +202,6 @@ class Discriminant:
         # absolute floor: a trace can cancel to far below the product entries,
         # leaving pure roundoff beyond the bandwidth; that is not aliasing
         if scale > 0 and beyond > 1e-10 * scale and beyond > 1e-12:
-            import warnings
-
             warnings.warn(f"aliasing: |a_(q,k)| = {beyond:.2e} beyond the bandwidth", stacklevel=2)
         return {"coeffs": coeffs, "bandwidth": d}
 
@@ -211,14 +214,34 @@ def discriminant_fourier(V: FourierSeries, p: int, q: int, E: float, oversample:
     return Discriminant(V, p, q).fourier(E, oversample)
 
 
+# the q-step block carries a rounding error of order q eps ||T_q||_F; a
+# deviation within this factor of it has at most about two correct digits
+_RESOLUTION_FACTOR = 100.0
+
+
 def chambers_deviation(V: FourierSeries, p: int, q: int, E: float, grid: int = 0) -> float:
-    """max over theta of |t(E, theta) - a_{q,0}(E)| on a grid of one 1/q period."""
+    """max over theta of |t(E, theta) - a_{q,0}(E)| on a grid of one 1/q period.
+
+    Warns with ResolutionWarning when the result is below
+    100 q eps max_theta ||T_q(E, theta)||_F: there it is rounding noise of
+    the q-step products, not the deviation.
+    """
     d = Discriminant(V, p, q)
     G = grid or 64 * (max(V.K, 1) + 1)
     phis = np.arange(G) / G
-    vals = d.value(np.asarray(E), phis / q)
+    b = d.block(np.asarray(E), phis / q)
+    vals = b[..., 0, 0] + b[..., 1, 1]
     mean = float(np.mean(vals))
-    return float(np.max(np.abs(vals - mean)))
+    dev = float(np.max(np.abs(vals - mean)))
+    floor = _RESOLUTION_FACTOR * q * np.finfo(float).eps * float(np.max(frob(b)))
+    if dev < floor:
+        warnings.warn(
+            f"Chambers deviation {dev:.2e} at q={q}, E={E:g} is below the rounding floor "
+            f"{floor:.2e} of the q-step block",
+            ResolutionWarning,
+            stacklevel=2,
+        )
+    return dev
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
 from qplab.cli import ExperimentConfig, main
+from qplab.spectra import ResolutionWarning
 
 FAST_COMMANDS = [
     ["cf", "--alpha", "golden", "--depth", "10"],
@@ -29,6 +31,12 @@ def test_commands_run(argv, tmp_path):
     code = main(argv + ["--out-dir", str(tmp_path)])
     assert code == 0
     assert any(tmp_path.iterdir())
+
+
+def test_chambers_levels_resolved(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        assert main(["chambers", "--lam", "0.5", "--levels", "4", "--out-dir", str(tmp_path)]) == 0
 
 
 def test_exit_code_hypothesis_violation(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_acceptance import _random_alpha
 from qplab.contfrac import (
     BridgeSelection,
     PrecisionExhausted,
@@ -92,6 +93,96 @@ def test_select_bridges_degenerate():
     e = expand("golden", 1)
     sel = select_bridges(e, 25.0)
     assert sel.Q == [1] and sel.exhausted
+
+
+@pytest.mark.parametrize("label,idx", [
+    ("golden", [1, 37, 934, 23359]),
+    ("sqrt2m1", [0, 20, 521, 13046]),
+])
+def test_select_bridges_deep_pinned(label, idx):
+    sel = select_bridges(expand(label, 25000), 25.0)
+    assert sel.idx == idx and sel.exhausted
+
+
+def _select_bridges_linear(cf, A):
+    """Reference: the greedy search with a linear scan for each next index."""
+    q = cf.q
+    last = len(q) - 2
+    if last < 0:
+        raise SelectionFailed("expansion too shallow for any selection")
+    lq = cf.log_q()
+    tol = 1e-9
+
+    def route1(i):
+        return lq[i + 1] >= A * lq[i] - tol
+
+    def chain_ok(i):
+        return lq[i + 1] <= A * lq[i] + tol * max(1.0, A * lq[i])
+
+    nxt_break = [last + 1] * (last + 2)
+    for i in range(last, -1, -1):
+        nxt_break[i] = i if not chain_ok(i) else nxt_break[i + 1]
+
+    def bridge(m, n):
+        if m > n:
+            return False
+        if nxt_break[m] < n:
+            return False
+        return (A * lq[m] - tol <= lq[n] + tol) and (lq[n] <= A**3 * lq[m] + tol * max(1.0, A**3 * lq[m]))
+
+    n0 = max(i for i in range(last + 1) if q[i] == 1)
+    idx = [n0]
+    owes = [False]
+    tried = [set()]
+    best = list(idx)
+    pops = 0
+    while pops < 200:
+        k = len(idx) - 1
+        cur = idx[k]
+        found = None
+        for m in range(cur + 1, last + 1):
+            if lq[m] > (A**4) * lq[cur + 1] + tol * max(1.0, (A**4) * lq[cur + 1]):
+                break
+            if m in tried[k]:
+                continue
+            if owes[k] and not bridge(cur, m):
+                continue
+            if route1(m) or bridge(cur + 1, m):
+                found = m
+                break
+        if found is None:
+            if len(idx) > len(best):
+                best = list(idx)
+            if owes[k] and len(idx) > 1:
+                bad = idx.pop()
+                owes.pop()
+                tried.pop()
+                tried[-1].add(bad)
+                pops += 1
+                continue
+            break
+        idx.append(found)
+        owes.append(not route1(found))
+        tried.append(set())
+
+    sel = BridgeSelection(cf, A, best, exhausted=True)
+    if not sel.all_ok():
+        raise SelectionFailed(f"greedy selection {idx} fails invariant check")
+    return sel
+
+
+@pytest.mark.parametrize("A", [25.0, 5.0, 2.0])
+def test_select_bridges_matches_linear_scan(A):
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        cf = expand(_random_alpha(rng), 25, prec=400)
+        try:
+            want = _select_bridges_linear(cf, A).idx
+        except SelectionFailed:
+            with pytest.raises(SelectionFailed):
+                select_bridges(cf, A)
+            continue
+        assert select_bridges(cf, A).idx == want
 
 
 def test_bridge_reverification_catches_bad_selection(golden_cf):

@@ -203,6 +203,22 @@ def test_driver_three_steps_decrease(deep_selection, rng):
     assert all(e["residual"] <= 1e-8 for e in out["ledger"])
 
 
+def test_driver_phi_dist_not_floored_by_rounding():
+    # the c08 cocycle at A = 5: levels 3-4 have ||Phi_n - I|| far below eps
+    rng = np.random.default_rng(41)
+    sel = contfrac.select_bridges(contfrac.expand("golden", 3000), 5.0)
+    x, y, z = (random_real_series(rng, 10, amp=1e-3, decay=0.5) for _ in range(3))
+    F = MatSeries.from_entries(x, y + z, y - z, x * (-1.0))
+    A0 = rotation_series(FourierSeries.constant(0.25), out_K=2).mat_mul(
+        F.exp_map(out_K=30), out_K=34, tail_tol=None
+    )
+    out = almost_reducibility_driver(GOLDEN, A0, 0.25, MA, sel, steps=4)
+    dist = [e["phi_dist"] for e in out["ledger"]]
+    assert len(dist) == 4
+    assert all(a > b for a, b in zip(dist, dist[1:]))
+    assert dist[3] < 1e-18
+
+
 def test_driver_strict_mode_refuses(deep_selection, rng):
     cf, sel = deep_selection
     A0 = _small_cocycle(rng, 0.25)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qplab.spectra import (
     BandIndexAmbiguous,
     BandSet,
     Discriminant,
+    ResolutionWarning,
     _moving_bands,
     amo_s_minus_closed_form,
     band_edges,
@@ -57,6 +59,23 @@ def test_chambers_amplitude():
         assert dev == pytest.approx(2.0 * lam**q, abs=1e-8)
 
 
+@pytest.mark.parametrize("E,q,p", [(0.0, 55, 34), (1.0, 34, 21)])
+def test_chambers_below_rounding_floor_warns(E, q, p):
+    # 2 lam^q = 5.6e-17 at q = 55; at E = 1, q = 34 the result is 17% off
+    with pytest.warns(ResolutionWarning):
+        chambers_deviation(VAM(0.5), p, q, E)
+
+
+def test_chambers_resolved_ladders_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        for lam, q_max in ((0.5, 21), (0.9, 144)):
+            p, q = 2, 3
+            while q <= q_max:
+                chambers_deviation(VAM(lam), p, q, 0.0)
+                p, q = q, p + q
+
+
 def test_chambers_fourier_support():
     out = discriminant_fourier(VAM(0.5), 2, 5, 0.3)
     c = out["coeffs"]
@@ -71,7 +90,8 @@ def test_fourier_free_potential_flat():
 
 
 def test_chambers_deviation_free_zero():
-    assert chambers_deviation(V0, 1, 5, 0.3) <= 1e-12
+    with pytest.warns(ResolutionWarning):
+        assert chambers_deviation(V0, 1, 5, 0.3) <= 1e-12
 
 
 def test_band_set_free_case():
