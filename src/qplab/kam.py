@@ -142,11 +142,6 @@ class Su11Series:
     def shift(self, beta: float) -> "Su11Series":
         return Su11Series(self.t.shift(beta), self.v.shift(beta))
 
-    def conj_by_rot(self, rho: float) -> "Su11Series":
-        """A^{-1} X A for A = diag(e^{-2 pi i rho}, e^{2 pi i rho}): v picks e^{4 pi i rho}."""
-        ph = np.exp(4j * np.pi * rho)
-        return Su11Series(self.t, FourierSeries(self.v.coeffs * ph, False))
-
     def l1(self) -> float:
         return max(self.t.l1(), self.v.l1())
 
@@ -211,12 +206,6 @@ def _log_su_vals(p):
     da, b = p
     f = sl2._log_factor(1.0 + np.real(da))
     return np.imag(da) * f, b * f
-
-
-def _su_group_dev(p) -> np.ndarray:
-    """sup |P - I| over the grid."""
-    da, b = p
-    return float(max(np.max(np.abs(da)), np.max(np.abs(b))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,20 @@ interval-set distances.
 The discriminant t_{p/q}(E, theta) is the trace of the period-q transfer
 block; |t| <= 2 cuts out the q bands.  Band edges are isolated from the
 monotone pieces between critical points of t in E, so tangential band
-touchings (closed gaps) are found reliably.
+touchings (closed gaps) are found reliably.  Every root is refined by one
+bisection that halves all of its brackets at once, and the phase-uniform sets
+S_-, S_+ come from one sublevel-set scan.  The S_- scan grid is split at the
+gaps of sigma(theta=0), which contains S_-, so no gap narrower than the scan
+step is bridged.  For almost Mathieu, Chambers' formula
+t = a_{q,0}(E) +- 2 lam^q cos 2 pi q theta makes S_- exactly
+sigma(0) n sigma(1/(2q)).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,6 +79,12 @@ class BandSet:
 
     def is_empty(self) -> bool:
         return not self.intervals
+
+    def intersect(self, other: "BandSet") -> "BandSet":
+        return BandSet([
+            (max(a, c), min(b, d))
+            for a, b in self.intervals for c, d in other.intervals if max(a, c) <= min(b, d)
+        ])
 
     def to_csv(self) -> str:
         lines = ["a,b"] + [f"{a!r},{b!r}" for a, b in self.intervals]
@@ -138,7 +150,6 @@ class Discriminant:
     V: FourierSeries
     p: int
     q: int
-    _vgrid: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.q < 1 or math.gcd(self.p, self.q) != 1:
@@ -254,18 +265,43 @@ def e_window(V: FourierSeries, margin: float = 0.5) -> tuple[float, float]:
     return (-2.0 - s - margin, 2.0 + s + margin)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
+# energies per block of the sublevel-set scan; bounds its (E, theta) batch
+_SCAN_BLOCK = 128
+
+
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-10) -> np.ndarray:
+    """Midpoints of the brackets [lo_i, hi_i] after bisecting each to width tol.
+
+    f is vectorized over E.  Every bracket is halved at once, with the
+    comparisons of a one-bracket loop, so each follows its own midpoints.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo = f(lo)
     for _ in range(200):
-        if hi - lo <= tol:
+        act = np.flatnonzero(hi - lo > tol)
+        if act.size == 0:
             break
-        mid = (lo + hi) / 2.0
+        mid = (lo[act] + hi[act]) / 2.0
         fm = f(mid)
-        if (fm <= 0) == (flo <= 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        same = (fm <= 0) == (flo[act] <= 0)
+        lo[act[same]], flo[act[same]] = mid[same], fm[same]
+        hi[act[~same]] = mid[~same]
     return (lo + hi) / 2.0
+
+
+def _sublevel_intervals(f: Callable[[np.ndarray], np.ndarray], Es: np.ndarray) -> BandSet:
+    """{f <= 0} seen on the sorted grid Es, every edge bisected between grid points."""
+    vals = np.concatenate([f(Es[i:i + _SCAN_BLOCK]) for i in range(0, Es.size, _SCAN_BLOCK)])
+    inside = vals <= 0
+    flips = np.flatnonzero(inside[1:] != inside[:-1])
+    cuts = _bisect(f, Es[flips], Es[flips + 1])
+    starts = list(cuts[inside[flips + 1]])
+    ends = list(cuts[inside[flips]])
+    if inside[0]:
+        starts.insert(0, Es[0])
+    if inside[-1]:
+        ends.append(Es[-1])
+    return BandSet(list(zip(starts, ends)))
 
 
 def band_edges(V: FourierSeries, p: int, q: int, theta: float, window=None,
@@ -279,20 +315,18 @@ def band_edges(V: FourierSeries, p: int, q: int, theta: float, window=None,
     level and neither is searched for one.
     """
     d = Discriminant(V, p, q)
+    th = np.asarray(theta)
     lo, hi = window or e_window(V)
     npts = grid_per_band * q
     for attempt in range(refine + 1):
         Es = np.linspace(lo, hi, npts + 1)
-        tv = d.value(Es, np.asarray(theta))
-        dv = d.dvalue_dE(Es, np.asarray(theta))
+        dv = d.dvalue_dE(Es, th)
         # critical points from sign changes of dt/dE (exact grid zeros counted once)
-        crit = []
-        for i in range(npts):
-            if dv[i] == 0.0:
-                crit.append(Es[i])
-            elif dv[i] * dv[i + 1] < 0:
-                crit.append(_bisect(lambda e: float(d.dvalue_dE(np.asarray(e), np.asarray(theta))),
-                                    Es[i], Es[i + 1]))
+        zero = dv[:-1] == 0.0
+        flip = ~zero & (dv[:-1] * dv[1:] < 0)
+        crit = Es[:-1].copy()
+        crit[flip] = _bisect(lambda e: d.dvalue_dE(e, th), Es[:-1][flip], Es[1:][flip])
+        crit = crit[zero | flip]
         if len(crit) == q - 1:
             break
         npts *= 2
@@ -300,28 +334,21 @@ def band_edges(V: FourierSeries, p: int, q: int, theta: float, window=None,
         raise RootIsolationError(
             f"found {len(crit)} critical points, expected {q - 1}; refine the window"
         )
-    pieces = [lo] + list(crit) + [hi]
+    pieces = np.concatenate(([lo], crit, [hi]))
+    tp = d.value(pieces, th)
     edges = []
     touch = []
-    tangent_levels = set()  # (piece index, level) pairs not to search
-    for j, c in enumerate(crit):
-        tc = float(d.value(np.asarray(c), np.asarray(theta)))
+    searched = {2.0: np.ones(q, bool), -2.0: np.ones(q, bool)}  # per monotone piece
+    for j, (c, tc) in enumerate(zip(crit, tp[1:-1])):
         if abs(abs(tc) - 2.0) <= touch_tol:
             edges.extend([c, c])
             touch.append(c)
-            lvl = math.copysign(2.0, tc)
-            tangent_levels |= {(j, lvl), (j + 1, lvl)}
-    for i in range(len(pieces) - 1):
-        a, b = pieces[i], pieces[i + 1]
-        ta = float(d.value(np.asarray(a), np.asarray(theta)))
-        tb = float(d.value(np.asarray(b), np.asarray(theta)))
-        for lvl in (2.0, -2.0):
-            fa, fb = ta - lvl, tb - lvl
-            if (i, lvl) not in tangent_levels and (fa < 0) != (fb < 0):
-                edges.append(
-                    _bisect(lambda e: float(d.value(np.asarray(e), np.asarray(theta))) - lvl, a, b)
-                )
-    edges.sort()
+            searched[math.copysign(2.0, tc)][j:j + 2] = False
+    for lvl, todo in searched.items():
+        f = tp - lvl
+        k = np.flatnonzero(todo & ((f[:-1] < 0) != (f[1:] < 0)))
+        edges.extend(_bisect(lambda e: d.value(e, th) - lvl, pieces[k], pieces[k + 1]))
+    edges = sorted(float(e) for e in edges)
     if len(edges) != 2 * q:
         raise RootIsolationError(f"isolated {len(edges)} band edges, expected {2 * q}")
     bands = [(edges[2 * i], edges[2 * i + 1]) for i in range(q)]
@@ -339,85 +366,39 @@ def band_set(V: FourierSeries, p: int, q: int, theta: float, window=None) -> Ban
 # ---------------------------------------------------------------------------
 
 
-def _theta_extremes(d: Discriminant, Es: np.ndarray, theta_grid: np.ndarray):
-    """max and min over the theta grid of |t(E, theta)| for each E."""
-    tmax = np.full(Es.shape, -np.inf)
-    tmin = np.full(Es.shape, np.inf)
-    for th in theta_grid:
-        tv = np.abs(d.value(Es, np.asarray(th)))
-        tmax = np.maximum(tmax, tv)
-        tmin = np.minimum(tmin, tv)
-    return tmax, tmin
-
-
 def s_sets(V: FourierSeries, p: int, q: int, theta_grid_size: int = 64,
            window=None, scan_per_band: int = 64) -> dict:
     """S_- = {E: max_theta |t| <= 2} and S_+ = {E: min_theta |t| <= 2}.
 
     The theta grid covers one 1/q period (t is 1/q-periodic); boundaries are
-    bisection-refined on the grid criterion.
+    bisection-refined on the grid criterion.  S_- lies in sigma(theta=0), so
+    its scan grid also holds the midpoint of every open gap of sigma(0).
     """
     d = Discriminant(V, p, q)
     lo, hi = window or e_window(V)
     ths = np.arange(theta_grid_size) / (theta_grid_size * q)
-    npts = scan_per_band * q
+    Es = np.linspace(lo, hi, scan_per_band * q + 1)
+    bands = band_edges(V, p, q, 0.0, window)["bands"]
+    gap_mids = [(g0 + g1) / 2.0 for (_, g0), (g1, _) in zip(bands, bands[1:]) if g0 < g1]
 
-    def crit_max(e):
-        return float(np.max(np.abs(d.value(np.asarray(e), ths)))) - 2.0
+    def abs_t(e):
+        return np.abs(d.value(e[:, None], ths))
 
-    def crit_min(e):
-        return float(np.min(np.abs(d.value(np.asarray(e), ths)))) - 2.0
-
-    out = {}
-    for name, crit in (("S_minus", crit_max), ("S_plus", crit_min)):
-        Es = np.linspace(lo, hi, npts + 1)
-        vals = np.array([crit(e) for e in Es])
-        intervals = []
-        start = None
-        for i in range(npts + 1):
-            inside = vals[i] <= 0
-            if inside and start is None:
-                start = Es[i] if i == 0 else _bisect(crit, Es[i - 1], Es[i])
-            if not inside and start is not None:
-                end = _bisect(crit, Es[i - 1], Es[i])
-                intervals.append((start, end))
-                start = None
-        if start is not None:
-            intervals.append((start, Es[-1]))
-        out[name] = BandSet(intervals)
-    return out
+    return {
+        "S_minus": _sublevel_intervals(lambda e: np.max(abs_t(e), axis=-1) - 2.0,
+                                       np.union1d(Es, gap_mids)),
+        "S_plus": _sublevel_intervals(lambda e: np.min(abs_t(e), axis=-1) - 2.0, Es),
+    }
 
 
-def amo_s_minus_closed_form(lam: float, q: int, p: int = 1, scan_per_band: int = 128) -> BandSet:
-    """S_- for the almost Mathieu potential from the single-harmonic identity:
-    the phase average a_{q,0}(E) must satisfy |a_{q,0}| <= 2 - 2 lam^q.
+def amo_s_minus_closed_form(lam: float, q: int, p: int = 1) -> BandSet:
+    """S_- for the almost Mathieu potential from Chambers' formula.
+
+    t(E, theta) = a_{q,0}(E) +- 2 lam^q cos 2 pi q theta, so max_theta |t| <= 2
+    exactly where |t| <= 2 at both theta = 0 and theta = 1/(2q).
     """
     V = FourierSeries.cosine(2.0 * lam)
-    d = Discriminant(V, p, q)
-    thr = 2.0 - 2.0 * lam**q
-
-    def a0(e):
-        G = 8 * (q + 1)
-        phis = np.arange(G) / G
-        return float(np.mean(d.value(np.asarray(e), phis / q)))
-
-    lo, hi = e_window(V)
-    npts = scan_per_band * q
-    Es = np.linspace(lo, hi, npts + 1)
-    vals = np.array([abs(a0(e)) - thr for e in Es])
-    intervals = []
-    start = None
-    for i in range(npts + 1):
-        inside = vals[i] <= 0
-        if inside and start is None:
-            start = Es[i] if i == 0 else _bisect(lambda e: abs(a0(e)) - thr, Es[i - 1], Es[i])
-        if not inside and start is not None:
-            end = _bisect(lambda e: abs(a0(e)) - thr, Es[i - 1], Es[i])
-            intervals.append((start, end))
-            start = None
-    if start is not None:
-        intervals.append((start, Es[-1]))
-    return BandSet(intervals)
+    return band_set(V, p, q, 0.0).intersect(band_set(V, p, q, 0.5 / q))
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,126 @@ def test_bandset_csv():
     txt = BandSet([(0.0, 1.0), (2.0, 3.0)]).to_csv()
     assert txt.splitlines()[0] == "a,b"
     assert len(txt.splitlines()) == 3
+
+
+# ---------------------------------------------------------------------------
+# reference: the one-bracket-at-a-time loops the batched routines replace
+# ---------------------------------------------------------------------------
+
+
+def _ref_bisect(f, lo, hi, tol=1e-10):
+    flo = f(lo)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = (lo + hi) / 2.0
+        fm = f(mid)
+        if (fm <= 0) == (flo <= 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def _ref_band_edges(V, p, q, theta, grid_per_band=64, refine=2, touch_tol=1e-8):
+    d = Discriminant(V, p, q)
+    th = np.asarray(theta)
+    lo, hi = e_window(V)
+    npts = grid_per_band * q
+    for _ in range(refine + 1):
+        Es = np.linspace(lo, hi, npts + 1)
+        dv = d.dvalue_dE(Es, th)
+        crit = []
+        for i in range(npts):
+            if dv[i] == 0.0:
+                crit.append(Es[i])
+            elif dv[i] * dv[i + 1] < 0:
+                crit.append(_ref_bisect(lambda e: float(d.dvalue_dE(np.asarray(e), th)),
+                                        Es[i], Es[i + 1]))
+        if len(crit) == q - 1:
+            break
+        npts *= 2
+    assert len(crit) == q - 1
+    pieces = [lo] + crit + [hi]
+    edges, skip = [], set()
+    for j, c in enumerate(crit):
+        tc = float(d.value(np.asarray(c), th))
+        if abs(abs(tc) - 2.0) <= touch_tol:
+            edges.extend([c, c])
+            skip |= {(j, math.copysign(2.0, tc)), (j + 1, math.copysign(2.0, tc))}
+    for i in range(len(pieces) - 1):
+        a, b = pieces[i], pieces[i + 1]
+        ta, tb = float(d.value(np.asarray(a), th)), float(d.value(np.asarray(b), th))
+        for lvl in (2.0, -2.0):
+            if (i, lvl) not in skip and (ta - lvl < 0) != (tb - lvl < 0):
+                edges.append(_ref_bisect(lambda e: float(d.value(np.asarray(e), th)) - lvl, a, b))
+    return sorted(edges)
+
+
+def _ref_s_sets(V, p, q, theta_grid_size=64, scan_per_band=64):
+    d = Discriminant(V, p, q)
+    lo, hi = e_window(V)
+    ths = np.arange(theta_grid_size) / (theta_grid_size * q)
+    npts = scan_per_band * q
+    out = {}
+    for name, red in (("S_minus", np.max), ("S_plus", np.min)):
+        def crit(e):
+            return float(red(np.abs(d.value(np.asarray(e), ths)))) - 2.0
+
+        Es = np.linspace(lo, hi, npts + 1)
+        vals = np.array([crit(e) for e in Es])
+        intervals, start = [], None
+        for i in range(npts + 1):
+            inside = vals[i] <= 0
+            if inside and start is None:
+                start = Es[i] if i == 0 else _ref_bisect(crit, Es[i - 1], Es[i])
+            if not inside and start is not None:
+                intervals.append((start, _ref_bisect(crit, Es[i - 1], Es[i])))
+                start = None
+        if start is not None:
+            intervals.append((start, Es[-1]))
+        out[name] = BandSet(intervals)
+    return out
+
+
+def test_batched_band_edges_match_reference():
+    for lam in (0.5, 0.9, 1.5):
+        for p, q in ((1, 2), (2, 5), (5, 8)):
+            for theta in (0.0, 0.11, 0.3):
+                assert band_edges(VAM(lam), p, q, theta)["edges"] == _ref_band_edges(
+                    VAM(lam), p, q, theta)
+
+
+@pytest.mark.parametrize("V,p,q", [(V0, 1, 3)] + [
+    (VAM(lam), p, q) for lam in (0.5, 0.9, 1.5) for p, q in ((1, 3), (3, 5), (3, 8))])
+def test_batched_s_sets_match_reference(V, p, q):
+    new, ref = s_sets(V, p, q), _ref_s_sets(V, p, q)
+    assert new["S_minus"].intervals == ref["S_minus"].intervals
+    assert new["S_plus"].intervals == ref["S_plus"].intervals
+
+
+def test_s_minus_resolves_gaps_narrower_than_the_scan_step():
+    lam = 0.5
+    sm = s_sets(VAM(lam), 8, 13)["S_minus"]
+    cf = amo_s_minus_closed_form(lam, 13, 8)
+    assert sm.count() == 13
+    assert set_distance(sm, cf)["hausdorff"] <= 1e-6
+    # at q = 21 eight open gaps of sigma(0) are narrower than a 64-per-band scan step
+    cf = amo_s_minus_closed_form(lam, 21, 13)
+    sigma = band_set(VAM(lam), 13, 21, theta=0.0)
+    assert cf.count() == 21
+    assert all(any(a <= x and y <= b for a, b in sigma.intervals) for x, y in cf.intervals)
+
+
+def test_band_set_intersect():
+    a = BandSet([(0.0, 2.0), (3.0, 5.0)])
+    b = BandSet([(1.0, 4.0), (4.5, 6.0)])
+    assert a.intersect(b).intervals == [(1.0, 2.0), (3.0, 4.0), (4.5, 5.0)]
+    assert a.intersect(BandSet([(2.5, 2.9)])).is_empty()
+
+
+@pytest.mark.parametrize("p,q", [(34, 55), (55, 89), (89, 144)])
+def test_chambers_amplitude_large_q(p, q):
+    lam = 0.9
+    dev = chambers_deviation(VAM(lam), p, q, 0.0)
+    assert abs(dev / (2.0 * lam**q) - 1.0) <= 1e-6
