@@ -52,6 +52,7 @@ class CfExpansion:
     rational: bool = False
     label: Optional[str] = None
     _alpha_mp: object = field(default=None, repr=False)
+    _log_q: Optional[list] = field(default=None, repr=False, compare=False)
 
     def depth(self) -> int:
         return len(self.q) - 1
@@ -73,7 +74,10 @@ class CfExpansion:
             return float(min(x, 1 - x))
 
     def log_q(self) -> list:
-        return [safe_log_int(qi) for qi in self.q]
+        """[log q_k], computed once: the bridge search and its certificate share it."""
+        if self._log_q is None:
+            self._log_q = [safe_log_int(qi) for qi in self.q]
+        return self._log_q
 
     def to_json(self) -> str:
         rec = {
@@ -245,17 +249,18 @@ def is_cd_bridge(cf: CfExpansion, m: int, n: int, A: float, B: float, C: float) 
     """(q_m, q_n) forms a CD(A,B,C) bridge.
 
     Chain condition q_{i+1} <= q_i^A for m <= i <= n-1 plus the growth
-    window q_m^B <= q_n <= q_m^C.  Requires 0 < A <= B <= C.
+    window q_m^B <= q_n <= q_m^C.  Requires 0 < A <= B <= C.  The
+    comparisons read the logs of cf.log_q().
     """
     if not (0 < A <= B <= C):
         raise ValueError("need 0 < A <= B <= C")
     if not (0 <= m <= n < len(cf.q)):
         raise IndexError(f"bridge indices ({m},{n}) outside computed range")
-    q = cf.q
+    q, lq = cf.q, cf.log_q()
     for i in range(m, n):
-        if not pow_geq(q[i], A, q[i + 1]):
+        if not pow_geq(q[i], A, q[i + 1], (lq[i], lq[i + 1])):
             return False
-    return pow_leq(q[m], B, q[n]) and pow_geq(q[m], C, q[n])
+    return pow_leq(q[m], B, q[n], (lq[m], lq[n])) and pow_geq(q[m], C, q[n], (lq[m], lq[n]))
 
 
 @dataclass
@@ -293,16 +298,20 @@ class BridgeSelection:
         selection is flagged range-exhausted.
         """
         cf, A = self.cf, self.A
-        q = cf.q
+        q, lq = cf.q, cf.log_q()
         idx = self.idx
         K = len(idx) - 1
+
+        def cmp(test, i, expo, j):  # test(q_i, expo, q_j) on the cached logs
+            return test(q[i], expo, q[j], (lq[i], lq[j]))
+
         ok_q0 = q[idx[0]] == 1
-        ok_growth = all(pow_geq(q[idx[k] + 1], A**4, q[idx[k + 1]]) for k in range(K))
-        ok_lemma23 = all(pow_leq(q[idx[k] + 1], A, q[idx[k + 1] + 1]) for k in range(K))
+        ok_growth = all(cmp(pow_geq, idx[k] + 1, A**4, idx[k + 1]) for k in range(K))
+        ok_lemma23 = all(cmp(pow_leq, idx[k] + 1, A, idx[k + 1] + 1) for k in range(K))
         ok_dis = True
         pending = False
         for k in range(K + 1):
-            if pow_leq(q[idx[k]], A, q[idx[k] + 1]):
+            if cmp(pow_leq, idx[k], A, idx[k] + 1):
                 continue  # Qbar_k >= Q_k^A
             back = k >= 1 and is_cd_bridge(cf, idx[k - 1] + 1, idx[k], A, A, A**3)
             if not back:

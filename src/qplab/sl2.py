@@ -192,11 +192,13 @@ def safe_log_int(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2.0)
 
 
-def _pow_cmp(base: int, expo: float, bound: int, rtol: float = 1e-12) -> int:
+def _pow_cmp(base: int, expo: float, bound: int, rtol: float = 1e-12, logs=None) -> int:
     """Sign of base**expo - bound for positive ints; 0 when numerically tied.
 
     Exact integer arithmetic is used when `expo` is a small integer, so the
     boundary cases that show up in tests (e.g. 2**3 vs 8) are decided exactly.
+    `logs` = (safe_log_int(base), safe_log_int(bound)), when the caller
+    already holds them, saves recomputing the logs of large ints.
     """
     if base <= 0 or bound <= 0:
         raise ValueError("positive integers required")
@@ -205,18 +207,18 @@ def _pow_cmp(base: int, expo: float, bound: int, rtol: float = 1e-12) -> int:
     if float(expo).is_integer() and expo <= 64 and base.bit_length() * expo <= 4096:
         val = base ** int(expo)
         return (val > bound) - (val < bound)
-    lhs = expo * safe_log_int(base)
-    rhs = safe_log_int(bound)
+    log_base, rhs = logs or (safe_log_int(base), safe_log_int(bound))
+    lhs = expo * log_base
     if abs(lhs - rhs) <= rtol * max(1.0, abs(rhs)):
         return 0
     return 1 if lhs > rhs else -1
 
 
-def pow_leq(base: int, expo: float, bound: int) -> bool:
+def pow_leq(base: int, expo: float, bound: int, logs=None) -> bool:
     """base**expo <= bound (boundary ties count as equal)."""
-    return _pow_cmp(base, expo, bound) <= 0
+    return _pow_cmp(base, expo, bound, logs=logs) <= 0
 
 
-def pow_geq(base: int, expo: float, bound: int) -> bool:
+def pow_geq(base: int, expo: float, bound: int, logs=None) -> bool:
     """base**expo >= bound (boundary ties count as equal)."""
-    return _pow_cmp(base, expo, bound) >= 0
+    return _pow_cmp(base, expo, bound, logs=logs) >= 0

@@ -3,15 +3,16 @@ sets, the intersection/union spectra, the integrated density of states, and
 interval-set distances.
 
 The discriminant t_{p/q}(E, theta) is the trace of the period-q transfer
-block; |t| <= 2 cuts out the q bands.  Band edges are isolated from the
-monotone pieces between critical points of t in E, so tangential band
-touchings (closed gaps) are found reliably.  Every root is refined by one
-bisection that halves all of its brackets at once, and the phase-uniform sets
-S_-, S_+ come from one sublevel-set scan.  The S_- scan grid is split at the
-gaps of sigma(theta=0), which contains S_-, so no gap narrower than the scan
-step is bridged.  For almost Mathieu, Chambers' formula
-t = a_{q,0}(E) +- 2 lam^q cos 2 pi q theta makes S_- exactly
-sigma(0) n sigma(1/(2q)).
+block; |t| <= 2 cuts out the q bands.  By Floquet theory t = 2 cos k exactly
+at the eigenvalues of the q x q periodic (k = 0) and antiperiodic (k = pi)
+Jacobi matrices, so the 2q band edges are the sorted union of two symmetric
+eigenvalue spectra, one batched solve for a whole stack of phases.  Two edges
+of a gap closer than the solver's resolution, about q eps (2 + max|V|), are
+one tangency (a closed gap).  From the edges E_k^-(theta) <= E_k^+(theta) on
+a phase grid, S_- is the union of the nonempty [max E_k^-, min E_k^+] and S_+
+that of the moving bands [min E_k^-, max E_k^+].  For almost Mathieu,
+Chambers' formula t = a_{q,0}(E) +- 2 lam^q cos 2 pi q theta makes S_-
+exactly sigma(0) n sigma(1/(2q)).
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ import numpy as np
 
 from .sl2 import frob, schrodinger_fiber
 from .udspace import FourierSeries
-
-
-class RootIsolationError(Exception):
-    """The E-scan could not separate near-degenerate band edges."""
 
 
 class BandIndexAmbiguous(Exception):
@@ -172,6 +169,8 @@ class Discriminant:
         b = self.block(E, theta)
         return b[..., 0, 0] + b[..., 1, 1]
 
+    # no caller in the package: the tests' reference band edges use it, and
+    # perfbench/tracer.py wraps it by name
     def dvalue_dE(self, E, theta) -> np.ndarray:
         """d/dE of the trace via prefix/suffix products (exact, O(q) per point)."""
         E = np.asarray(E, dtype=float)
@@ -225,8 +224,9 @@ def discriminant_fourier(V: FourierSeries, p: int, q: int, E: float, oversample:
     return Discriminant(V, p, q).fourier(E, oversample)
 
 
-# the q-step block carries a rounding error of order q eps ||T_q||_F; a
-# deviation within this factor of it has at most about two correct digits
+# the q-step block carries a rounding error of order q eps ||T_q||_F, and a
+# q x q symmetric eigensolve one of order q eps ||H||; a result within this
+# factor of its rounding error has at most about two correct digits
 _RESOLUTION_FACTOR = 100.0
 
 
@@ -260,15 +260,7 @@ def chambers_deviation(V: FourierSeries, p: int, q: int, E: float, grid: int = 0
 # ---------------------------------------------------------------------------
 
 
-def e_window(V: FourierSeries, margin: float = 0.5) -> tuple[float, float]:
-    s = float(np.max(np.abs(np.real(V.values(max(64, 8 * (V.K + 1)))))))
-    return (-2.0 - s - margin, 2.0 + s + margin)
-
-
-# energies per block of the sublevel-set scan; bounds its (E, theta) batch
-_SCAN_BLOCK = 128
-
-
+# no caller in the package: perfbench/tracer.py wraps it by name
 def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-10) -> np.ndarray:
     """Midpoints of the brackets [lo_i, hi_i] after bisecting each to width tol.
 
@@ -289,76 +281,52 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-10) -
     return (lo + hi) / 2.0
 
 
-def _sublevel_intervals(f: Callable[[np.ndarray], np.ndarray], Es: np.ndarray) -> BandSet:
-    """{f <= 0} seen on the sorted grid Es, every edge bisected between grid points."""
-    vals = np.concatenate([f(Es[i:i + _SCAN_BLOCK]) for i in range(0, Es.size, _SCAN_BLOCK)])
-    inside = vals <= 0
-    flips = np.flatnonzero(inside[1:] != inside[:-1])
-    cuts = _bisect(f, Es[flips], Es[flips + 1])
-    starts = list(cuts[inside[flips + 1]])
-    ends = list(cuts[inside[flips]])
-    if inside[0]:
-        starts.insert(0, Es[0])
-    if inside[-1]:
-        ends.append(Es[-1])
-    return BandSet(list(zip(starts, ends)))
+def _floquet_edges(V: FourierSeries, p: int, q: int, thetas) -> np.ndarray:
+    """Sorted band edges of sigma(p/q, theta), shape (len(thetas), 2q).
 
-
-def band_edges(V: FourierSeries, p: int, q: int, theta: float, window=None,
-               grid_per_band: int = 64, refine: int = 2, touch_tol: float = 1e-8) -> dict:
-    """The 2q band edges (with touchings doubled) of t(., theta)^{-1}[-2, 2].
-
-    Critical points of t are isolated first; on each monotone piece the
-    crossings of +-2 are bisected.  A critical value within touch_tol of +-2
-    is registered as a tangency (double edge / closed gap); t is monotone on
-    the two pieces meeting there, so neither holds another crossing of that
-    level and neither is searched for one.
+    t(E, theta) = 2 cos k exactly at the eigenvalues of the q x q Jacobi
+    matrix with diagonal V(theta + n p/q), 1 on the off-diagonals and corner
+    entries e^{ik}: the periodic (k = 0) matrix gives the edges at t = 2, the
+    antiperiodic (k = pi) one those at t = -2.  Adding the corners in place
+    covers q = 1 and 2.  The eigensolver is accurate to about
+    q eps (2 + max|V|), so the two edges of a gap closer than
+    _RESOLUTION_FACTOR times that are one tangency and both take their
+    midpoint.
     """
-    d = Discriminant(V, p, q)
-    th = np.asarray(theta)
-    lo, hi = window or e_window(V)
-    npts = grid_per_band * q
-    for attempt in range(refine + 1):
-        Es = np.linspace(lo, hi, npts + 1)
-        dv = d.dvalue_dE(Es, th)
-        # critical points from sign changes of dt/dE (exact grid zeros counted once)
-        zero = dv[:-1] == 0.0
-        flip = ~zero & (dv[:-1] * dv[1:] < 0)
-        crit = Es[:-1].copy()
-        crit[flip] = _bisect(lambda e: d.dvalue_dE(e, th), Es[:-1][flip], Es[1:][flip])
-        crit = crit[zero | flip]
-        if len(crit) == q - 1:
-            break
-        npts *= 2
-    if len(crit) != q - 1:
-        raise RootIsolationError(
-            f"found {len(crit)} critical points, expected {q - 1}; refine the window"
-        )
-    pieces = np.concatenate(([lo], crit, [hi]))
-    tp = d.value(pieces, th)
-    edges = []
-    touch = []
-    searched = {2.0: np.ones(q, bool), -2.0: np.ones(q, bool)}  # per monotone piece
-    for j, (c, tc) in enumerate(zip(crit, tp[1:-1])):
-        if abs(abs(tc) - 2.0) <= touch_tol:
-            edges.extend([c, c])
-            touch.append(c)
-            searched[math.copysign(2.0, tc)][j:j + 2] = False
-    for lvl, todo in searched.items():
-        f = tp - lvl
-        k = np.flatnonzero(todo & ((f[:-1] < 0) != (f[1:] < 0)))
-        edges.extend(_bisect(lambda e: d.value(e, th) - lvl, pieces[k], pieces[k + 1]))
-    edges = sorted(float(e) for e in edges)
-    if len(edges) != 2 * q:
-        raise RootIsolationError(f"isolated {len(edges)} band edges, expected {2 * q}")
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    v = Discriminant(V, p, q)._vfun(th[:, None] + np.arange(q) * p / q)
+    H = np.broadcast_to(np.eye(q, k=1) + np.eye(q, k=-1), v.shape + (q,)).copy()
+    H[:, np.arange(q), np.arange(q)] = v
+    eigs = []
+    for corner in (1.0, -1.0):
+        Hk = H.copy()
+        Hk[:, 0, q - 1] += corner
+        Hk[:, q - 1, 0] += corner
+        eigs.append(np.linalg.eigvalsh(Hk))
+    edges = np.sort(np.concatenate(eigs, axis=1), axis=1)
+    tol = _RESOLUTION_FACTOR * q * np.finfo(float).eps * (2.0 + float(np.max(np.abs(v))))
+    lo, hi = edges[:, 1:-1:2], edges[:, 2::2]
+    shut = hi - lo <= tol
+    lo[shut] = hi[shut] = (lo[shut] + hi[shut]) / 2.0
+    return edges
+
+
+def band_edges(V: FourierSeries, p: int, q: int, theta: float) -> dict:
+    """The 2q band edges of t(., theta)^{-1}[-2, 2], from one eigenvalue solve.
+
+    The edges are the eigenvalues of the periodic and antiperiodic q x q
+    matrices (see _floquet_edges).  A gap narrower than the solver's
+    resolution is closed: its two edges are equal and listed in "touchings".
+    """
+    edges = _floquet_edges(V, p, q, [theta])[0].tolist()
     bands = [(edges[2 * i], edges[2 * i + 1]) for i in range(q)]
+    touch = [b for (_, b), (a, _) in zip(bands, bands[1:]) if a == b]
     return {"edges": edges, "bands": bands, "touchings": touch}
 
 
-def band_set(V: FourierSeries, p: int, q: int, theta: float, window=None) -> BandSet:
+def band_set(V: FourierSeries, p: int, q: int, theta: float) -> BandSet:
     """sigma(p/q, theta) as a BandSet (touching bands merge in the set view)."""
-    be = band_edges(V, p, q, theta, window)
-    return BandSet(be["bands"])
+    return BandSet(band_edges(V, p, q, theta)["bands"])
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +334,22 @@ def band_set(V: FourierSeries, p: int, q: int, theta: float, window=None) -> Ban
 # ---------------------------------------------------------------------------
 
 
-def s_sets(V: FourierSeries, p: int, q: int, theta_grid_size: int = 64,
-           window=None, scan_per_band: int = 64) -> dict:
+def s_sets(V: FourierSeries, p: int, q: int, theta_grid_size: int = 64) -> dict:
     """S_- = {E: max_theta |t| <= 2} and S_+ = {E: min_theta |t| <= 2}.
 
-    The theta grid covers one 1/q period (t is 1/q-periodic); boundaries are
-    bisection-refined on the grid criterion.  S_- lies in sigma(theta=0), so
-    its scan grid also holds the midpoint of every open gap of sigma(0).
+    With E_k^-(theta) <= E_k^+(theta) the edges of the k-th band on a grid
+    of one 1/q period (t is 1/q-periodic), S_- is the union of the nonempty
+    [max E_k^-, min E_k^+] and S_+ the union of the moving bands
+    [min E_k^-, max E_k^+].  The edges come from one batched eigenvalue
+    solve, so no gap is bridged however narrow it is.
     """
-    d = Discriminant(V, p, q)
-    lo, hi = window or e_window(V)
     ths = np.arange(theta_grid_size) / (theta_grid_size * q)
-    Es = np.linspace(lo, hi, scan_per_band * q + 1)
-    bands = band_edges(V, p, q, 0.0, window)["bands"]
-    gap_mids = [(g0 + g1) / 2.0 for (_, g0), (g1, _) in zip(bands, bands[1:]) if g0 < g1]
-
-    def abs_t(e):
-        return np.abs(d.value(e[:, None], ths))
-
+    edges = _floquet_edges(V, p, q, ths)
+    low, high = edges[:, 0::2], edges[:, 1::2]
+    inner = zip(low.max(axis=0), high.min(axis=0))
     return {
-        "S_minus": _sublevel_intervals(lambda e: np.max(abs_t(e), axis=-1) - 2.0,
-                                       np.union1d(Es, gap_mids)),
-        "S_plus": _sublevel_intervals(lambda e: np.min(abs_t(e), axis=-1) - 2.0, Es),
+        "S_minus": BandSet([(a, b) for a, b in inner if a <= b]),
+        "S_plus": BandSet(list(zip(low.min(axis=0), high.max(axis=0)))),
     }
 
 
@@ -406,27 +368,20 @@ def amo_s_minus_closed_form(lam: float, q: int, p: int = 1) -> BandSet:
 # ---------------------------------------------------------------------------
 
 
-def _moving_bands(V: FourierSeries, p: int, q: int, theta_grid_size: int = 32, window=None):
+def _moving_bands(V: FourierSeries, p: int, q: int, theta_grid_size: int = 32):
     """Per-index band intervals B_k = [min_theta E_k^-, max_theta E_k^+]."""
-    ths = np.arange(theta_grid_size) / (theta_grid_size * q)
-    lows = np.full(q, np.inf)
-    highs = np.full(q, -np.inf)
-    for th in ths:
-        be = band_edges(V, p, q, float(th), window)
-        for k, (a, b) in enumerate(be["bands"]):
-            lows[k] = min(lows[k], a)
-            highs[k] = max(highs[k], b)
-    return list(zip(lows, highs))
+    edges = _floquet_edges(V, p, q, np.arange(theta_grid_size) / (theta_grid_size * q))
+    return list(zip(edges[:, 0::2].min(axis=0), edges[:, 1::2].max(axis=0)))
 
 
 def ids(V: FourierSeries, p: int, q: int, E: float, theta_grid_size: int = 256,
-        window=None, edge_tol: float = 1e-10, bands=None) -> float:
+        edge_tol: float = 1e-10, bands=None) -> float:
     """Integrated density of states of the rational-frequency family at E.
 
     Below the spectrum 0, above 1, constant j/q on gaps; inside the k-th
     moving band the rotation-number integral formula is used.
     """
-    bands = bands if bands is not None else _moving_bands(V, p, q, window=window)
+    bands = bands if bands is not None else _moving_bands(V, p, q)
     if E < bands[0][0]:
         return 0.0
     if E > bands[-1][1]:

@@ -15,6 +15,7 @@ from qplab.contfrac import (
     is_cd_bridge,
     select_bridges,
 )
+from qplab.sl2 import pow_geq, pow_leq
 
 
 def test_golden_fibonacci():
@@ -183,6 +184,54 @@ def test_select_bridges_matches_linear_scan(A):
                 select_bridges(cf, A)
             continue
         assert select_bridges(cf, A).idx == want
+
+
+def _check_invariants_plain(sel):
+    """Reference: the certificate with every comparison recomputing its logs."""
+    cf, A, idx = sel.cf, sel.A, sel.idx
+    q = cf.q
+    K = len(idx) - 1
+
+    def bridge(m, n):
+        return (all(pow_geq(q[i], A, q[i + 1]) for i in range(m, n))
+                and pow_leq(q[m], A, q[n]) and pow_geq(q[m], A**3, q[n]))
+
+    ok_dis, pending = True, False
+    for k in range(K + 1):
+        if pow_leq(q[idx[k]], A, q[idx[k] + 1]):
+            continue
+        if not (k >= 1 and bridge(idx[k - 1] + 1, idx[k])):
+            ok_dis = False
+        elif k < K:
+            ok_dis = ok_dis and bridge(idx[k], idx[k + 1])
+        else:
+            pending = True
+    return {
+        "Q0_is_1": q[idx[0]] == 1,
+        "growth_cap": all(pow_geq(q[idx[k] + 1], A**4, q[idx[k + 1]]) for k in range(K)),
+        "disjunction": ok_dis and not (pending and not sel.exhausted),
+        "qbar_growth": all(pow_leq(q[idx[k] + 1], A, q[idx[k + 1] + 1]) for k in range(K)),
+        "pending_tail": pending,
+    }
+
+
+@pytest.mark.parametrize("label", ["golden", "sqrt2m1"])
+def test_certificate_from_cached_logs_deep(label):
+    sel = select_bridges(expand(label, 25000), 25.0)
+    assert sel.check_invariants() == _check_invariants_plain(sel)
+
+
+def test_certificate_from_cached_logs_random_alpha(golden_cf):
+    rng = np.random.default_rng(7)
+    sels = [BridgeSelection(golden_cf, 25.0, [1, 4], exhausted=True)]
+    for A in (25.0, 5.0, 2.0):
+        for _ in range(30):
+            try:
+                sels.append(select_bridges(expand(_random_alpha(rng), 25, prec=400), A))
+            except SelectionFailed:
+                continue
+    for sel in sels:
+        assert sel.check_invariants() == _check_invariants_plain(sel)
 
 
 def test_bridge_reverification_catches_bad_selection(golden_cf):

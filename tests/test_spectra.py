@@ -16,7 +16,6 @@ from qplab.spectra import (
     chambers_deviation,
     discriminant,
     discriminant_fourier,
-    e_window,
     ids,
     s_sets,
     set_distance,
@@ -213,8 +212,13 @@ def test_bandset_csv():
 
 
 # ---------------------------------------------------------------------------
-# reference: the one-bracket-at-a-time loops the batched routines replace
+# reference: the scan-and-bisect root-finder the eigenvalue solve replaced
 # ---------------------------------------------------------------------------
+
+
+def e_window(V, margin=0.5):
+    s = float(np.max(np.abs(np.real(V.values(max(64, 8 * (V.K + 1)))))))
+    return (-2.0 - s - margin, 2.0 + s + margin)
 
 
 def _ref_bisect(f, lo, hi, tol=1e-10):
@@ -292,20 +296,92 @@ def _ref_s_sets(V, p, q, theta_grid_size=64, scan_per_band=64):
     return out
 
 
+def _open_gap_edges(edges, min_gap=1e-5):
+    """Mask of the edges whose adjacent gaps are at least min_gap wide."""
+    e = np.asarray(edges)
+    gap = np.full(e.size, np.inf)
+    gap[1:-1] = np.repeat(e[2::2] - e[1:-1:2], 2)
+    return gap >= min_gap
+
+
 def test_batched_band_edges_match_reference():
+    # the reference bisects to 1e-10 and can close a gap narrower than its scan
+    # step, so the edges beside gaps under 1e-5 are not compared
     for lam in (0.5, 0.9, 1.5):
         for p, q in ((1, 2), (2, 5), (5, 8)):
             for theta in (0.0, 0.11, 0.3):
-                assert band_edges(VAM(lam), p, q, theta)["edges"] == _ref_band_edges(
-                    VAM(lam), p, q, theta)
+                new = np.array(band_edges(VAM(lam), p, q, theta)["edges"])
+                ref = np.array(_ref_band_edges(VAM(lam), p, q, theta))
+                keep = _open_gap_edges(ref)
+                assert new.size == 2 * q
+                assert np.max(np.abs(new - ref)[keep]) <= 1e-9
 
 
 @pytest.mark.parametrize("V,p,q", [(V0, 1, 3)] + [
     (VAM(lam), p, q) for lam in (0.5, 0.9, 1.5) for p, q in ((1, 3), (3, 5), (3, 8))])
 def test_batched_s_sets_match_reference(V, p, q):
+    # a grid of phases leaves holes in S_+ once the bands move by more than
+    # their width (lam = 1.5, 3/8), so there the reference has more than q intervals
     new, ref = s_sets(V, p, q), _ref_s_sets(V, p, q)
-    assert new["S_minus"].intervals == ref["S_minus"].intervals
-    assert new["S_plus"].intervals == ref["S_plus"].intervals
+    for name in ("S_minus", "S_plus"):
+        if ref[name].count() > q:
+            continue
+        a, b = np.array(new[name].endpoints()), np.array(ref[name].endpoints())
+        assert a.size == b.size
+        if a.size:
+            keep = _open_gap_edges(b)
+            assert np.max(np.abs(a - b)[keep]) <= 1e-9
+
+
+def _golden(q_min, q_max):
+    out, p, q = [], 1, 2
+    while q <= q_max:
+        if q >= q_min:
+            out.append((p, q))
+        p, q = q, p + q
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+def test_s_minus_measure_is_four_one_minus_lambda(lam):
+    for p, q in _golden(5, 89):
+        assert abs(s_sets(VAM(lam), p, q)["S_minus"].measure() - 4.0 * (1.0 - lam)) <= 1e-9
+        assert abs(amo_s_minus_closed_form(lam, q, p).measure() - 4.0 * (1.0 - lam)) <= 1e-9
+
+
+def test_supercritical_s_minus_empty_and_s_plus_moving_bands():
+    # max_theta |t| = |a_{q,0}| + 2 lam^q > 2 everywhere, and S_+ is q moving bands
+    for p, q in _golden(3, 34) + [(3, 8)]:
+        ss = s_sets(VAM(1.5), p, q)
+        assert ss["S_minus"].is_empty()
+        assert 1 <= ss["S_plus"].count() <= q
+
+
+def test_band_edges_are_level_crossings():
+    # at lam = 1.5, |dt/dE| grows like lam^q, so a rounding-level error in E
+    # moves t by more than 1e-9 beyond q = 13
+    cases = [(lam, p, q) for lam in (0.1, 0.5, 0.9) for p, q in _golden(3, 89)]
+    cases += [(1.5, p, q) for p, q in _golden(3, 13)]
+    for lam, p, q in cases:
+        d = Discriminant(VAM(lam), p, q)
+        for theta in (0.0, 0.11, 0.3):
+            edges = np.array(band_edges(VAM(lam), p, q, theta)["edges"])
+            assert edges.size == 2 * q
+            assert np.max(np.abs(np.abs(d.value(edges, np.asarray(theta))) - 2.0)) <= 1e-9
+
+
+def test_narrow_open_gaps_stay_open():
+    # the narrowest gap of sigma(theta=0) at lam = 0.1, 5/13 is 3.9e-7 wide
+    be = band_edges(VAM(0.1), 5, 13, 0.0)
+    edges = np.array(be["edges"])
+    assert be["touchings"] == []
+    assert np.all(edges[2:-1:2] - edges[1:-1:2] > 1e-7)
+    assert band_set(VAM(0.1), 5, 13, 0.0).count() == 13
+
+
+def test_s_plus_keeps_narrow_gaps():
+    for p, q in ((8, 13), (13, 21)):
+        assert s_sets(VAM(0.5), p, q)["S_plus"].count() == q
 
 
 def test_s_minus_resolves_gaps_narrower_than_the_scan_step():
