@@ -4,6 +4,12 @@ Transfer matrices with overflow-guarded scaling, finite Lyapunov exponents
 by grid quadrature, the fibered rotation number estimated from a single
 projective orbit, and the renormalization iterates with their commutation
 identity.
+
+The rotation number reads each projective step through a lift of the fiber
+that is continuous in theta: the angle of A(theta) e_1, unwrapped on a
+reference grid, which `QpCocycle.winding` certifies to close up.  Orbits
+and grid products evaluate the fiber in blocks of at most 4096 points
+rather than one step at a time.
 """
 
 from __future__ import annotations
@@ -20,10 +26,20 @@ from .contfrac import CfExpansion
 from .udspace import FourierSeries
 
 RESCALE_EVERY = 32
+_BATCH = 4096  # most fiber values held at once
+_CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
 
 
 class WindingError(Exception):
     """Fiber map is not homotopic to the identity."""
+
+
+class LiftResolutionError(WindingError):
+    """An orbit angle of A(theta) e_1 is a quarter turn or more from the reference lift.
+
+    The fiber turns faster between reference grid points than the grid
+    resolves, so the lift continuous in theta cannot be read off the grid.
+    """
 
 
 @dataclass
@@ -88,14 +104,15 @@ class QpCocycle:
         vals = self.fiber(th)
         return bool(np.max(np.abs(sl2.det2(vals) - 1.0)) <= tol)
 
+    def _e1_lift(self, G: int = 256) -> np.ndarray:
+        """Angle of A(theta) e_1 in units of pi at theta = j/G, j = 0..G, unwrapped in theta."""
+        vals = self.fiber(np.arange(G + 1) / G)
+        return np.unwrap(np.arctan2(vals[..., 1, 0], vals[..., 0, 0])) / np.pi
+
     def winding(self, G: int = 256) -> int:
         """Winding number of theta -> direction of A(theta) e_1."""
-        th = np.arange(G + 1) / G
-        vals = self.fiber(th)
-        ang = np.arctan2(vals[..., 1, 0], vals[..., 0, 0])
-        dd = np.diff(ang)
-        dd = (dd + np.pi) % (2 * np.pi) - np.pi
-        return int(round(np.sum(dd) / (2 * np.pi)))
+        lift = self._e1_lift(G)
+        return int(round((lift[-1] - lift[0]) / 2.0))
 
     def to_config(self) -> dict:
         return {"alpha": self.alpha, "fiber": {"label": self.label}}
@@ -162,13 +179,25 @@ def transfer(c: QpCocycle, theta: float, n: int) -> Sl2Mat:
     return Sl2Mat(acc, log_scale)
 
 
+def _grid_fibers(c: QpCocycle, thetas: np.ndarray, n: int):
+    """Fibers at thetas + j alpha (mod 1) for j = 0..n-1, yielded one step at a time.
+
+    The fiber is evaluated once per RESCALE_EVERY steps (fewer steps when the
+    grid is large, so that at most 4096 points are held), with the same theta
+    arithmetic as a one-step evaluation, so the values are bit-identical.
+    """
+    chunk = max(1, min(RESCALE_EVERY, _BATCH // max(thetas.size, 1)))
+    for j0 in range(0, n, chunk):
+        js = np.arange(j0, min(j0 + chunk, n))
+        yield from c.fiber(np.mod(thetas + js[:, None] * c.alpha, 1.0))
+
+
 def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     """Vectorized n-step products over a theta grid; returns (mats, log_scales)."""
     G = thetas.size
     acc = np.broadcast_to(np.eye(2), (G, 2, 2)).copy()
     log_scale = np.zeros(G)
-    for j in range(n):
-        vals = c.fiber(np.mod(thetas + j * c.alpha, 1.0))
+    for j, vals in enumerate(_grid_fibers(c, thetas, n)):
         acc = vals @ acc
         if (j + 1) % RESCALE_EVERY == 0:
             s = np.max(np.abs(acc), axis=(1, 2))
@@ -195,14 +224,70 @@ def lyapunov_det_drift(c: QpCocycle, n: int, grid: int = 64, block: int = 4) -> 
     short enough that each block product is well-conditioned and its
     determinant is computable at float precision.
     """
-    th = np.arange(grid) / grid
     drift = np.zeros(grid)
-    for start in range(0, n, block):
-        acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
-        for j in range(start, min(start + block, n)):
-            acc = c.fiber(np.mod(th + j * c.alpha, 1.0)) @ acc
-        drift += np.abs(np.log(np.abs(sl2.det2(acc))))
+    acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
+    for j, vals in enumerate(_grid_fibers(c, np.arange(grid) / grid, n)):
+        acc = vals @ acc
+        if (j + 1) % block == 0 or j + 1 == n:
+            drift += np.abs(np.log(np.abs(sl2.det2(acc))))
+            acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
     return float(np.max(drift))
+
+
+def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
+    """Fibers along the orbit theta0 + j alpha, j = 0..n-1, in blocks of at most 4096 points.
+
+    Yields (thetas, mats).  A series fiber takes each block as one product of
+    a shared phase block e^{2 pi i k (i alpha mod 1)} with the block's start
+    phases e^{2 pi i k theta}, instead of an exponential per point and mode.
+    The phase block holds the powers z^k of z = e^{2 pi i (i alpha mod 1)},
+    whose error grows like k eps, below that of exponentials of 2 pi k s.
+    """
+    A = c.series
+    steps = np.mod(c.alpha * np.arange(min(_BATCH, n)), 1.0)
+    if A is not None:
+        ks = A.ks()
+        z = np.exp(2j * np.pi * steps)
+        pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, A.K)), axis=1)
+        phase = np.concatenate([np.conj(pos[:, ::-1]), np.ones((z.size, 1)), pos], axis=1)
+        del pos
+        cols = A.coeffs.reshape(4, -1).T
+    th = theta0
+    for j in range(0, n, _BATCH):
+        m = min(_BATCH, n - j)
+        thetas = np.mod(th + steps[:m], 1.0)
+        if A is None:
+            mats = c.fiber(thetas)
+        else:
+            vals = (phase[:m] @ (np.exp(2j * np.pi * ks * th)[:, None] * cols)).reshape(m, 2, 2)
+            mats = np.real(vals) if A.real_flag else vals
+        yield thetas, mats
+        th = (th + c.alpha * m) % 1.0
+
+
+def _orbit_vectors(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """A_i ... A_0 vec for i = 0..m-1, each up to a positive factor.
+
+    Runs _CHAIN sequential steps of prefix products, vectorized over the
+    sub-blocks and rescaled at every step, then chains the sub-blocks with
+    one product each.
+    """
+    m = len(mats)
+    nb = -(-m // _CHAIN)
+    pad = np.broadcast_to(np.eye(2), (nb * _CHAIN - m, 2, 2))
+    blocks = np.concatenate([mats, pad]).reshape(nb, _CHAIN, 2, 2)
+    pre = np.empty_like(blocks)
+    P = np.broadcast_to(np.eye(2), (nb, 2, 2))
+    for i in range(_CHAIN):
+        P = blocks[:, i] @ P
+        P = P / np.max(np.abs(P), axis=(1, 2))[:, None, None]
+        pre[:, i] = P
+    starts = np.empty((nb, 2))
+    for b in range(nb):
+        starts[b] = vec
+        vec = pre[b, -1] @ vec
+        vec = vec / math.hypot(vec[0], vec[1])
+    return (pre @ starts[:, None, :, None]).reshape(nb * _CHAIN, 2)[:m]
 
 
 def rotation_number(
@@ -216,51 +301,51 @@ def rotation_number(
 
     Works on the projective circle (directions mod pi), where the angle
     advance of R_rho is 2*rho per step; the estimate is therefore a
-    representative of rho mod 1/2, reported in [0, 1/2).  Increments are
-    unwrapped against a slowly adapting running reference so that orbits
-    whose advance sits near the wrap point are not folded.
+    representative of rho mod 1/2, reported in [0, 1/2).  Each step is read
+    through the lift of the fiber that is continuous in theta: F(0) = a, the
+    angle of A(theta) e_1 (in units of pi) taken nearest to its reference
+    lift, which is unwrapped on a 256-point theta grid and interpolated.
+    Since F maps [0, 1) onto [a, a + 1), a step from x in [0, 1) to x'
+    advances by a + ((x' - a) mod 1) - x.  Raises LiftResolutionError where
+    an orbit angle is a quarter turn or more from its reference lift.
 
     Returns {"rho", "error_bar", "history"}; error_bar is the maximal
     fluctuation of the partial averages over the last decade of the orbit.
     """
+    lift = c._e1_lift()
+    G = lift.size - 1
     if check_homotopy:
-        w = c.winding()
+        w = int(round((lift[-1] - lift[0]) / 2.0))
         if w != 0:
             raise WindingError(f"fiber has winding {w}, not homotopic to identity")
-    alpha = c.alpha
-    # projective coordinate: phi in [0,1) represents direction angle pi*phi
+    # projective coordinate: x in [0,1) represents direction angle pi*x
     phi = float(y0) % 1.0
     vec = np.array([math.cos(math.pi * phi), math.sin(math.pi * phi)])
-    th = theta0
+    x = math.atan2(vec[1], vec[0]) / math.pi % 1.0
     total = 0.0
-    ref = None
     checkpoints = []
-    block = c.fiber
-    batch = 4096
     j = 0
-    while j < n:
-        m = min(batch, n - j)
-        thetas = np.mod(th + alpha * np.arange(m), 1.0)
-        mats = block(thetas)
-        for i in range(m):
-            new = mats[i] @ vec
-            nrm = math.hypot(new[0], new[1])
-            new /= nrm
-            ang_old = math.atan2(vec[1], vec[0]) / math.pi
-            ang_new = math.atan2(new[1], new[0]) / math.pi
-            raw = (ang_new - ang_old) % 1.0  # projective advance in [0,1)
-            if ref is None:
-                d = raw if raw <= 0.5 else raw - 1.0
-                ref = d
-            else:
-                d = raw + math.floor(ref - raw + 0.5)
-                ref = 0.995 * ref + 0.005 * d
-            total += d
-            vec = new
-            j += 1
-            if j >= n // 10 and (j & (j - 1)) == 0 or j == n:
-                checkpoints.append((j, total / j))
-        th = (th + alpha * m) % 1.0
+    for thetas, mats in _orbit_fibers(c, theta0, n):
+        m = len(mats)
+        pos = thetas * G
+        i0 = np.minimum(pos.astype(int), G - 1)
+        ref = lift[i0] + (pos - i0) * (lift[i0 + 1] - lift[i0])
+        raw = np.arctan2(mats[:, 1, 0], mats[:, 0, 0]) / np.pi
+        a = raw + 2.0 * np.round((ref - raw) / 2.0)
+        off = np.abs(a - ref)
+        if np.max(off) >= 0.5:
+            raise LiftResolutionError(
+                f"orbit angle {np.max(off):.3f} pi from the reference lift at theta="
+                f"{thetas[np.argmax(off)]:.6f}; the {G}-point grid does not resolve the fiber")
+        vecs = _orbit_vectors(mats, vec)
+        xs = np.concatenate(([x], np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]) / np.pi, 1.0)))
+        d = a + np.mod(xs[1:] - a, 1.0) - xs[:-1]
+        totals = np.cumsum(np.concatenate(([total], d)))[1:]
+        js = np.arange(j + 1, j + m + 1)
+        keep = (js >= n // 10) & ((js & (js - 1)) == 0) | (js == n)
+        checkpoints += [(int(k), float(t) / int(k)) for k, t in zip(js[keep], totals[keep])]
+        total, x, j = float(totals[-1]), float(xs[-1]), j + m
+        vec = vecs[-1] / math.hypot(vecs[-1, 0], vecs[-1, 1])
     avg = total / n
     tail = [abs(v - avg) for (jj, v) in checkpoints if jj >= n // 10]
     err = max(tail) if tail else 0.0

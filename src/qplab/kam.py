@@ -24,6 +24,7 @@ from .udspace import (
     FourierSeries,
     Modulus,
     _grid_size,
+    _grid_values,
     gamma_of_log_sat,
     log_norm_mr_ln,
     rotation_series,
@@ -304,7 +305,7 @@ def homotopy_conjugate(
     Y = Su11Series(FourierSeries.zero(K), FourierSeries(y, False))
 
     # a-posteriori conjugation residual on the grid, all in deviation form
-    e_re = _exp_su_vals(np.real(g_re.t(np.arange(G) / G)), g_re.v(np.arange(G) / G))
+    e_re = _exp_su_vals(g_re.t.values(G), g_re.v.values(G))
     da_d = p[0] - e_re[0]
     b_d = p[1] - e_re[1]
     residual = float(max(np.max(np.abs(da_d)), np.max(np.abs(b_d))))
@@ -433,8 +434,7 @@ class KamState:
 def _rot_conj_series(F: FourierSeries, v: FourierSeries, sign: float, out_K: int) -> FourierSeries:
     """e^{sign * v J} F e^{-sign * v J} pointwise on the grid; F small, rotations O(1)."""
     G = _grid_size(max(2 * out_K, 2 * (F.K + 2 * v.K) + 8))
-    th = np.arange(G) / G
-    ang = sign * np.real(v(th)) / (2.0 * math.pi)  # e^{vJ} = R_{-v/2pi}
+    ang = sign * np.real(v.values(G)) / (2.0 * math.pi)  # e^{vJ} = R_{-v/2pi}
     R = sl2.rot(-ang)
     Rinv = sl2.rot(ang)
     vals = R @ F.values(G) @ Rinv
@@ -514,9 +514,8 @@ def kam_step(
     t_low = FourierSeries(np.where(np.abs(ks) < Q_next, f_t.coeffs, 0.0), True)
     # E = e^{-{t_low, 0}} e^{W_re}; G_su = log E
     Gg = _grid_size(4 * W_re.K + 8)
-    th = np.arange(Gg) / Gg
-    e_low = _exp_su_vals(-np.real(t_low(th)), np.zeros(Gg))
-    e_re = _exp_su_vals(np.real(W_re.t(th)), W_re.v(th))
+    e_low = _exp_su_vals(-t_low.values(Gg), np.zeros(Gg))
+    e_re = _exp_su_vals(W_re.t.values(Gg), W_re.v.values(Gg))
     p = _mul_su(e_low, e_re)
     tG, vG = _log_su_vals(p)
     G_su = Su11Series(
@@ -540,8 +539,7 @@ def kam_step(
     conj = state.conj
     Y_sl2 = su_to_sl2(Y)
     Gc = _grid_size(2 * max(K_work, Y_sl2.K, v_n.K * 2) + 8)
-    thc = np.arange(Gc) / Gc
-    ang = np.real(v_n(thc)) / (2.0 * math.pi)
+    ang = np.real(v_n.values(Gc)) / (2.0 * math.pi)
     Rv = sl2.rot(-ang)  # e^{v J}
     Rvinv = sl2.rot(ang)
     Y_vals = Y_sl2.values(Gc)
@@ -610,12 +608,11 @@ def conjugation_residual(state: KamState, A0: FourierSeries, G: int = 512) -> fl
         B = FourierSeries.constant(np.eye(2))
     else:
         B = state.conj
-    th = np.arange(G) / G
-    Bv = B(th)
-    Bshift = B.shift(state.alpha)(th)
-    Av = A0(th)
+    Bv = _grid_values(B, G)
+    Bshift = _grid_values(B.shift(state.alpha), G)
+    Av = _grid_values(A0, G)
     lhs = Bshift @ Av @ sl2.inv_det1(Bv)
-    target = state.cocycle_series()(th)
+    target = _grid_values(state.cocycle_series(), G)
     return float(np.max(sl2.frob(lhs - target)))
 
 

@@ -375,6 +375,22 @@ def _grid_size(K: int) -> int:
     return g
 
 
+def _grid_values(f: "FourierSeries", G: int) -> np.ndarray:
+    """Values of f at theta_j = j/G for any G, shape (G,) (+ (2, 2)).
+
+    Below G = 2K + 1 the modes k and k + G coincide on the grid, so their
+    coefficients are added (folded mod G) before the inverse DFT; the point
+    values stay exact.  `values` refuses such grids because its callers read
+    coefficients back from them.
+    """
+    if G > 2 * f.K:
+        return f.values(G)
+    spec = np.zeros((G,) + f.coeffs.shape[:-1], dtype=complex)
+    np.add.at(spec, f.ks() % G, np.moveaxis(f.coeffs, -1, 0))
+    vals = np.fft.ifft(spec, axis=0) * G
+    return np.real(vals) if f.real_flag else vals
+
+
 @dataclass
 class FourierSeries:
     """Finitely supported Fourier coefficients of a 1-periodic map.

@@ -5,9 +5,14 @@ import pytest
 
 import qplab.sl2 as sl2
 from conftest import random_real_series
+from qplab import spectra
 from qplab.cocycle import (
+    RESCALE_EVERY,
+    LiftResolutionError,
     QpCocycle,
     WindingError,
+    _orbit_fibers,
+    _transfer_grid,
     amo,
     cocycle_property_residual,
     commutation_residual,
@@ -28,6 +33,74 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 def const_cocycle(alpha, m):
     m = np.asarray(m, dtype=float)
     return QpCocycle(alpha, lambda th: np.broadcast_to(m, np.asarray(th).shape + (2, 2)).copy())
+
+
+def _rotation_number_loop(c, n, theta0=0.0, y0=0.3):
+    """Reference: the per-step loop that unwraps against a running reference smoothed by 0.995."""
+    alpha = c.alpha
+    phi = float(y0) % 1.0
+    vec = np.array([math.cos(math.pi * phi), math.sin(math.pi * phi)])
+    th = theta0
+    total = 0.0
+    ref = None
+    checkpoints = []
+    j = 0
+    while j < n:
+        m = min(4096, n - j)
+        mats = c.fiber(np.mod(th + alpha * np.arange(m), 1.0))
+        for i in range(m):
+            new = mats[i] @ vec
+            new /= math.hypot(new[0], new[1])
+            raw = (math.atan2(new[1], new[0]) / math.pi - math.atan2(vec[1], vec[0]) / math.pi) % 1.0
+            if ref is None:
+                d = ref = raw if raw <= 0.5 else raw - 1.0
+            else:
+                d = raw + math.floor(ref - raw + 0.5)
+                ref = 0.995 * ref + 0.005 * d
+            total += d
+            vec = new
+            j += 1
+            if j >= n // 10 and (j & (j - 1)) == 0 or j == n:
+                checkpoints.append((j, total / j))
+        th = (th + alpha * m) % 1.0
+    avg = total / n
+    err = max([abs(v - avg) for (jj, v) in checkpoints if jj >= n // 10], default=0.0)
+    return {"rho": (avg / 2.0) % 0.5, "error_bar": err / 2.0}
+
+
+def _near_rotation_series(rng):
+    """The near-rotation fiber of test_rotation_number_perturbation_bound."""
+    x = random_real_series(rng, 3, amp=0.004)
+    y = random_real_series(rng, 3, amp=0.004)
+    F = MatSeries.from_entries(x, y, y, x * (-1.0))
+    return rotation_series(FourierSeries.constant(0.25), out_K=2).mat_mul(
+        F.exp_map(out_K=12), out_K=14
+    )
+
+
+def _transfer_grid_steps(c, thetas, n):
+    """Reference: _transfer_grid with one fiber evaluation per step."""
+    acc = np.broadcast_to(np.eye(2), (thetas.size, 2, 2)).copy()
+    log_scale = np.zeros(thetas.size)
+    for j in range(n):
+        acc = c.fiber(np.mod(thetas + j * c.alpha, 1.0)) @ acc
+        if (j + 1) % RESCALE_EVERY == 0:
+            s = np.max(np.abs(acc), axis=(1, 2))
+            acc /= s[:, None, None]
+            log_scale += np.log(s)
+    return acc, log_scale
+
+
+def _det_drift_steps(c, n, grid=64, block=4):
+    """Reference: lyapunov_det_drift with one fiber evaluation per step."""
+    th = np.arange(grid) / grid
+    drift = np.zeros(grid)
+    for start in range(0, n, block):
+        acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
+        for j in range(start, min(start + block, n)):
+            acc = c.fiber(np.mod(th + j * c.alpha, 1.0)) @ acc
+        drift += np.abs(np.log(np.abs(sl2.det2(acc))))
+    return float(np.max(drift))
 
 
 def test_schrodinger_free_fiber():
@@ -109,12 +182,7 @@ def test_rotation_number_below_spectrum():
 
 
 def test_rotation_number_perturbation_bound(rng):
-    x = random_real_series(rng, 3, amp=0.004)
-    y = random_real_series(rng, 3, amp=0.004)
-    F = MatSeries.from_entries(x, y, y, x * (-1.0))
-    A = rotation_series(FourierSeries.constant(0.25), out_K=2).mat_mul(
-        F.exp_map(out_K=12), out_K=14
-    )
+    A = _near_rotation_series(rng)
     c = QpCocycle.from_series(GOLDEN, A)
     out = rotation_number(c, n=150_000)
     dist = (A - rotation_series(FourierSeries.constant(0.25), out_K=14)).sup_grid()
@@ -125,6 +193,69 @@ def test_winding_check_rejects_nontrivial_fiber():
     c = QpCocycle(GOLDEN, lambda th: sl2.rot(np.asarray(th)))
     with pytest.raises(WindingError):
         rotation_number(c, n=100)
+
+
+def _rotation_number_cases(rng):
+    cases = [(f"rotation rho={rho}", rotation_cocycle(GOLDEN, rho), 4000)
+             for rho in (0.0, 0.1, 0.25, 0.35, 0.49)]
+    # the angle of A(theta) e_1 crosses the branch cut of atan2 at pi
+    cases.append(("rotation by 0.49 + 0.02 cos", QpCocycle(
+        GOLDEN, lambda th: sl2.rot(0.49 + 0.02 * np.cos(2 * np.pi * np.asarray(th)))), 20_000))
+    cases += [(f"schrodinger E={E}", schrodinger(FourierSeries.cosine(1.0), E, GOLDEN), 20_000)
+              for E in (-2.4, -1.6, -0.8, 0.8, 1.6, 2.4)]
+    cases.append(("near rotation", QpCocycle.from_series(GOLDEN, _near_rotation_series(rng)),
+                  150_000))
+    return cases
+
+
+def test_rotation_number_matches_per_step_loop(rng):
+    for label, c, n in _rotation_number_cases(rng):
+        out = rotation_number(c, n=n)
+        ref = _rotation_number_loop(c, n)
+        assert rho_dist(out["rho"], ref["rho"]) <= 1e-12, label
+        assert abs(out["error_bar"] - ref["error_bar"]) <= 1e-12, label
+
+
+def test_rotation_number_against_ids():
+    # Johnson-Moser: N = 1 - 2 rho, here at the rational frequency 8/13
+    V = FourierSeries.cosine(1.0)
+    for E in (-1.9, -1.2, -0.5, 0.3, 0.9, 1.5, 2.1):
+        N = spectra.ids(V, 8, 13, E)
+        out = rotation_number(schrodinger(V, E, 8 / 13), n=20_000)
+        assert abs(N - (1.0 - 2.0 * out["rho"])) <= 2.0 * out["error_bar"] + 1e-6, E
+
+
+def test_rotation_number_rejects_unresolved_lift():
+    # winding 0, but between the 256 reference points the angle swings by 0.8 pi
+    c = QpCocycle(GOLDEN, lambda th: sl2.rot(0.4 * np.sin(2 * np.pi * 256 * np.asarray(th))))
+    assert c.winding() == 0
+    with pytest.raises(LiftResolutionError):
+        rotation_number(c, n=1000)
+    assert issubclass(LiftResolutionError, WindingError)
+
+
+@pytest.mark.parametrize("K", [34, 200])
+def test_orbit_fibers_match_point_evaluation(rng, K):
+    x, y, z = (random_real_series(rng, K, amp=0.3, decay=0.0) for _ in range(3))
+    A = MatSeries.from_entries(x, y + z, y - z, x * (-1.0))
+    c = QpCocycle.from_series(GOLDEN, A)
+    blocks = list(_orbit_fibers(c, 0.37, 9000))
+    assert [len(th) for th, _ in blocks] == [4096, 4096, 808]
+    for th, mats in blocks:
+        assert np.max(np.abs(mats - A(th))) <= 1e-12 * A.l1()
+
+
+@pytest.mark.parametrize("E", [0.0, 2.0])
+def test_grid_products_match_per_step_evaluation(E):
+    c = amo(3.0, E, GOLDEN)
+    # 128 points take 32 steps per evaluation, 1000 points take 4
+    for th in (np.arange(128) / 128, np.arange(1000) / 1000):
+        for n in (1, 31, 32, 100):
+            mats, ls = _transfer_grid(c, th, n)
+            ref_mats, ref_ls = _transfer_grid_steps(c, th, n)
+            assert np.array_equal(mats, ref_mats) and np.array_equal(ls, ref_ls), (th.size, n)
+    for n in (1, 7, 1000):
+        assert np.array_equal(lyapunov_det_drift(c, n), _det_drift_steps(c, n)), n
 
 
 def test_renorm_level_one_is_single_fiber(golden_cf):

@@ -11,6 +11,7 @@ from qplab.udspace import (
     FourierSeries,
     MatSeries,
     Modulus,
+    _grid_values,
     condition_a_check,
     fourier_decay_ok,
     gamma_of,
@@ -191,6 +192,24 @@ def test_grid_roundtrip(rng):
     g = FourierSeries(rng.normal(size=33) + 1j * rng.normal(size=33))
     back = FourierSeries.from_values(g.values(256), g.K)
     assert np.max(np.abs(back.coeffs - g.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2)])
+def test_grid_values_match_point_evaluation(rng, shape):
+    K = 300
+    c = rng.normal(size=shape + (2 * K + 1,)) + 1j * rng.normal(size=shape + (2 * K + 1,))
+    for f in (FourierSeries(c), FourierSeries((c + np.conj(c[..., ::-1])) / 2.0, True)):
+        # G > 2K goes through values(G); G <= 2K folds the modes mod G
+        for G in (1024, 601, 512, 100, 7):
+            ref = f(np.arange(G) / G)
+            got = _grid_values(f, G)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-13 * f.l1(), G
+            if G > 2 * K:
+                assert np.max(np.abs(f.values(G) - ref)) <= 1e-13 * f.l1(), G
+            else:
+                with pytest.raises(ValueError):
+                    f.values(G)
 
 
 def test_reciprocal(rng):
