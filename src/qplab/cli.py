@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 hypothesis violation (soft), 1 error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -22,16 +23,12 @@ import numpy as np
 
 from . import contfrac, kam, ldt, spectra, sl2
 from .cocycle import (
-    QpCocycle,
     amo,
     finite_lyapunov,
     renorm_iterates,
     commutation_residual,
-    rotation_cocycle,
     rotation_number,
     schrodinger,
-    transfer,
-    _transfer_grid,
 )
 from .udspace import FourierSeries, Modulus, log_norm_mr, norm_lambda, rotation_series
 
@@ -239,25 +236,23 @@ def _driver_setup(cfg: ExperimentConfig):
     return e, sel, M, A0
 
 
-def cmd_kam_step(cfg: ExperimentConfig) -> int:
+def _kam_driver(cfg: ExperimentConfig, steps: int, name: str) -> int:
+    """Run the driver for `steps` levels; exit 0 only if every level completed."""
     e, sel, M, A0 = _driver_setup(cfg)
     out = kam.almost_reducibility_driver(
-        e.alpha, A0, cfg.rho, M, sel, steps=1, gamma=cfg.gamma, tau=cfg.tau,
+        e.alpha, A0, cfg.rho, M, sel, steps=steps, gamma=cfg.gamma, tau=cfg.tau,
         r0=cfg.r0, mode=cfg.mode,
     )
-    _write(cfg.resolve_out("kam_step.jsonl"), kam.ledger_to_jsonl(out["ledger"]))
-    return EXIT_OK if out["ledger"] else EXIT_HYPOTHESIS
+    _write(cfg.resolve_out(name), kam.ledger_to_jsonl(out["ledger"]))
+    return EXIT_OK if len(out["ledger"]) == steps else EXIT_HYPOTHESIS
+
+
+def cmd_kam_step(cfg: ExperimentConfig) -> int:
+    return _kam_driver(cfg, 1, "kam_step.jsonl")
 
 
 def cmd_kam_run(cfg: ExperimentConfig) -> int:
-    e, sel, M, A0 = _driver_setup(cfg)
-    out = kam.almost_reducibility_driver(
-        e.alpha, A0, cfg.rho, M, sel, steps=cfg.steps, gamma=cfg.gamma, tau=cfg.tau,
-        r0=cfg.r0, mode=cfg.mode,
-    )
-    _write(cfg.resolve_out("kam_run.jsonl"), kam.ledger_to_jsonl(out["ledger"]))
-    complete = len(out["ledger"]) == cfg.steps
-    return EXIT_OK if complete else EXIT_HYPOTHESIS
+    return _kam_driver(cfg, cfg.steps, "kam_run.jsonl")
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
@@ -405,9 +400,13 @@ COMMANDS = {
     "last-diff": cmd_last_diff,
 }
 
-_FLOAT_FLAGS = ["A", "lam", "E", "rho", "gamma", "tau", "v", "eps", "r0", "kappa", "modulus_param"]
-_INT_FLAGS = ["depth", "prec", "K", "q", "p", "levels", "steps", "seed", "grid", "n"]
-_STR_FLAGS = ["alpha", "modulus", "mode", "out_dir", "out"]
+_FLAG_TYPES = {"float": float, "int": int, "str": str}
+
+
+def _flags() -> list:
+    """One flag per config field but `command`: the float, then the int, then the str fields."""
+    fields = [f for f in dataclasses.fields(ExperimentConfig) if f.name != "command"]
+    return sorted(fields, key=lambda f: list(_FLAG_TYPES).index(f.type))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,18 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        for f in _FLOAT_FLAGS:
-            p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=float, default=None)
-        for f in _INT_FLAGS:
-            p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=int, default=None)
-        for f in _STR_FLAGS:
-            p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=str, default=None)
+        for f in _flags():
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=_FLAG_TYPES[f.type],
+                           default=None)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    flags = {k: getattr(args, k) for k in _FLOAT_FLAGS + _INT_FLAGS + _STR_FLAGS}
+    flags = {f.name: getattr(args, f.name) for f in _flags()}
     try:
         cfg = ExperimentConfig.from_sources(args.command, args.config, flags)
     except (ValueError, OSError) as exc:

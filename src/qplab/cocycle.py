@@ -14,7 +14,6 @@ rather than one step at a time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,6 +25,7 @@ from .contfrac import CfExpansion
 from .udspace import FourierSeries
 
 RESCALE_EVERY = 32
+_LIFT_GRID = 256  # reference grid of the e_1 lift that winding() certifies
 _BATCH = 4096  # most fiber values held at once
 _CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
 
@@ -44,7 +44,7 @@ class LiftResolutionError(WindingError):
 
 @dataclass
 class Sl2Mat:
-    """2x2 real matrix with |det - 1| <= 1e-10, possibly carried in scaled form.
+    """2x2 real matrix, possibly carried in scaled form.
 
     The true matrix is exp(log_scale) * m; log_scale is nonzero only for long
     transfer products whose entries would overflow doubles.
@@ -58,25 +58,8 @@ class Sl2Mat:
         if self.m.shape != (2, 2):
             raise ValueError("Sl2Mat needs a 2x2 array")
 
-    @property
-    def det(self) -> float:
-        return float(sl2.det2(self.m)) * math.exp(2.0 * self.log_scale)
-
-    @property
-    def log_det(self) -> float:
-        return math.log(abs(float(sl2.det2(self.m)))) + 2.0 * self.log_scale
-
-    def norm(self) -> float:
-        return float(sl2.op_norm(self.m)) * math.exp(self.log_scale)
-
-    def log_norm(self) -> float:
-        return math.log(float(sl2.op_norm(self.m))) + self.log_scale
-
     def plain(self) -> np.ndarray:
         return self.m * math.exp(self.log_scale)
-
-    def check(self, tol: float = 1e-10) -> bool:
-        return abs(self.det - 1.0) <= tol if self.log_scale == 0.0 else abs(self.log_det) <= tol
 
 
 @dataclass
@@ -93,29 +76,26 @@ class QpCocycle:
     series: Optional[FourierSeries] = None
 
     @classmethod
-    def from_series(cls, alpha: float, A: FourierSeries, label: str = "") -> "QpCocycle":
-        return cls(alpha, lambda th: A(th), label, series=A)
+    def from_series(cls, alpha: float, A: FourierSeries) -> "QpCocycle":
+        return cls(alpha, lambda th: A(th), series=A)
 
     def __call__(self, theta):
         return self.fiber(np.asarray(theta, dtype=float))
 
-    def check_sl2(self, G: int = 256, tol: float = 1e-10) -> bool:
-        th = np.arange(G) / G
-        vals = self.fiber(th)
-        return bool(np.max(np.abs(sl2.det2(vals) - 1.0)) <= tol)
+    def check_sl2(self) -> bool:
+        """|det A(theta) - 1| <= 1e-10 on a 256-point theta grid."""
+        vals = self.fiber(np.arange(256) / 256)
+        return bool(np.max(np.abs(sl2.det2(vals) - 1.0)) <= 1e-10)
 
-    def _e1_lift(self, G: int = 256) -> np.ndarray:
-        """Angle of A(theta) e_1 in units of pi at theta = j/G, j = 0..G, unwrapped in theta."""
-        vals = self.fiber(np.arange(G + 1) / G)
+    def _e1_lift(self) -> np.ndarray:
+        """Angle of A(theta) e_1 in units of pi at theta = j/256, j = 0..256, unwrapped in theta."""
+        vals = self.fiber(np.arange(_LIFT_GRID + 1) / _LIFT_GRID)
         return np.unwrap(np.arctan2(vals[..., 1, 0], vals[..., 0, 0])) / np.pi
 
-    def winding(self, G: int = 256) -> int:
+    def winding(self) -> int:
         """Winding number of theta -> direction of A(theta) e_1."""
-        lift = self._e1_lift(G)
+        lift = self._e1_lift()
         return int(round((lift[-1] - lift[0]) / 2.0))
-
-    def to_config(self) -> dict:
-        return {"alpha": self.alpha, "fiber": {"label": self.label}}
 
 
 def schrodinger(V: FourierSeries, E: float, alpha: float = 0.0) -> QpCocycle:
@@ -216,21 +196,22 @@ def finite_lyapunov(c: QpCocycle, n: int, grid: int = 128) -> float:
     return float(np.mean(ln_norms)) / n
 
 
-def lyapunov_det_drift(c: QpCocycle, n: int, grid: int = 64, block: int = 4) -> float:
+def lyapunov_det_drift(c: QpCocycle, n: int) -> float:
     """Accumulated determinant drift of the length-n product, block-resolved.
 
     The determinant is exactly multiplicative across blocks, so the total
-    arithmetic drift is the sum of per-block |ln det| values; blocks are kept
-    short enough that each block product is well-conditioned and its
-    determinant is computable at float precision.
+    arithmetic drift is the sum of per-block |ln det| values; blocks of 4
+    steps are short enough that each block product is well-conditioned and
+    its determinant is computable at float precision.  Max over a 64-point
+    theta grid.
     """
-    drift = np.zeros(grid)
-    acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
-    for j, vals in enumerate(_grid_fibers(c, np.arange(grid) / grid, n)):
+    drift = np.zeros(64)
+    acc = np.broadcast_to(np.eye(2), (64, 2, 2)).copy()
+    for j, vals in enumerate(_grid_fibers(c, np.arange(64) / 64, n)):
         acc = vals @ acc
-        if (j + 1) % block == 0 or j + 1 == n:
+        if (j + 1) % 4 == 0 or j + 1 == n:
             drift += np.abs(np.log(np.abs(sl2.det2(acc))))
-            acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
+            acc = np.broadcast_to(np.eye(2), (64, 2, 2)).copy()
     return float(np.max(drift))
 
 
@@ -290,14 +271,8 @@ def _orbit_vectors(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (pre @ starts[:, None, :, None]).reshape(nb * _CHAIN, 2)[:m]
 
 
-def rotation_number(
-    c: QpCocycle,
-    n: int = 200_000,
-    theta0: float = 0.0,
-    y0: float = 0.3,
-    check_homotopy: bool = True,
-) -> dict:
-    """Fibered rotation number from a single projective orbit.
+def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
+    """Fibered rotation number from one projective orbit, from theta = 0 and angle 0.3 pi.
 
     Works on the projective circle (directions mod pi), where the angle
     advance of R_rho is 2*rho per step; the estimate is therefore a
@@ -306,29 +281,27 @@ def rotation_number(
     angle of A(theta) e_1 (in units of pi) taken nearest to its reference
     lift, which is unwrapped on a 256-point theta grid and interpolated.
     Since F maps [0, 1) onto [a, a + 1), a step from x in [0, 1) to x'
-    advances by a + ((x' - a) mod 1) - x.  Raises LiftResolutionError where
-    an orbit angle is a quarter turn or more from its reference lift.
+    advances by a + ((x' - a) mod 1) - x.  Raises WindingError unless the
+    fiber has winding 0, and LiftResolutionError where an orbit angle is a
+    quarter turn or more from its reference lift.
 
     Returns {"rho", "error_bar", "history"}; error_bar is the maximal
     fluctuation of the partial averages over the last decade of the orbit.
     """
     lift = c._e1_lift()
-    G = lift.size - 1
-    if check_homotopy:
-        w = int(round((lift[-1] - lift[0]) / 2.0))
-        if w != 0:
-            raise WindingError(f"fiber has winding {w}, not homotopic to identity")
+    w = int(round((lift[-1] - lift[0]) / 2.0))
+    if w != 0:
+        raise WindingError(f"fiber has winding {w}, not homotopic to identity")
     # projective coordinate: x in [0,1) represents direction angle pi*x
-    phi = float(y0) % 1.0
-    vec = np.array([math.cos(math.pi * phi), math.sin(math.pi * phi)])
+    vec = np.array([math.cos(math.pi * 0.3), math.sin(math.pi * 0.3)])
     x = math.atan2(vec[1], vec[0]) / math.pi % 1.0
     total = 0.0
     checkpoints = []
     j = 0
-    for thetas, mats in _orbit_fibers(c, theta0, n):
+    for thetas, mats in _orbit_fibers(c, 0.0, n):
         m = len(mats)
-        pos = thetas * G
-        i0 = np.minimum(pos.astype(int), G - 1)
+        pos = thetas * _LIFT_GRID
+        i0 = np.minimum(pos.astype(int), _LIFT_GRID - 1)
         ref = lift[i0] + (pos - i0) * (lift[i0 + 1] - lift[i0])
         raw = np.arctan2(mats[:, 1, 0], mats[:, 0, 0]) / np.pi
         a = raw + 2.0 * np.round((ref - raw) / 2.0)
@@ -336,7 +309,7 @@ def rotation_number(
         if np.max(off) >= 0.5:
             raise LiftResolutionError(
                 f"orbit angle {np.max(off):.3f} pi from the reference lift at theta="
-                f"{thetas[np.argmax(off)]:.6f}; the {G}-point grid does not resolve the fiber")
+                f"{thetas[np.argmax(off)]:.6f}; the {_LIFT_GRID}-point grid does not resolve the fiber")
         vecs = _orbit_vectors(mats, vec)
         xs = np.concatenate(([x], np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]) / np.pi, 1.0)))
         d = a + np.mod(xs[1:] - a, 1.0) - xs[:-1]
@@ -409,27 +382,3 @@ def cocycle_property_residual(c: QpCocycle, theta: float, m: int, n: int) -> flo
     diff = np.max(np.abs(prod * shift - left.m))
     return float(diff / max(np.max(np.abs(left.m)), 1e-300))
 
-
-def parse_cocycle_config(cfg: dict) -> QpCocycle:
-    """JSON declaration {alpha, fiber: {schrodinger: {V, E}} | {amo: {...}} | {matseries: ...}}."""
-    alpha = float(cfg["alpha"])
-    fib = cfg["fiber"]
-    if "schrodinger" in fib:
-        sub = fib["schrodinger"]
-        V = FourierSeries.from_json(json.dumps(sub["V"]), real_flag=True) if isinstance(
-            sub["V"], dict
-        ) else FourierSeries.from_json(sub["V"], real_flag=True)
-        return schrodinger(V, float(sub["E"]), alpha)
-    if "amo" in fib:
-        sub = fib["amo"]
-        return amo(float(sub["lambda"]), float(sub["E"]), alpha)
-    if "rotation" in fib:
-        return rotation_cocycle(alpha, float(fib["rotation"]["rho"]))
-    if "matseries" in fib:
-        d = fib["matseries"]
-        K = int(d["K"])
-        co = (np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)).reshape(
-            2, 2, 2 * K + 1
-        )
-        return QpCocycle.from_series(alpha, FourierSeries(co, True), label="matseries")
-    raise ValueError("unrecognized fiber declaration")

@@ -67,10 +67,10 @@ class CfExpansion:
                 return mp.sqrt(2) - 1
             return mp.mpf(self.alpha)
 
-    def norm_dist(self, k: int, prec: int = 256) -> float:
-        """||k*alpha||_Z at high precision."""
-        with mp.workprec(prec):
-            x = mp.frac(k * self.alpha_mp(prec))
+    def norm_dist(self, k: int) -> float:
+        """||k*alpha||_Z at 256-bit precision."""
+        with mp.workprec(256):
+            x = mp.frac(k * self.alpha_mp(256))
             return float(min(x, 1 - x))
 
     def log_q(self) -> list:
@@ -464,7 +464,6 @@ def check_diophantine(
     tau: float = 0.0,
     rho: float = 0.0,
     gamma: float = 0.0,
-    prec: int = 256,
 ) -> dict:
     """Exhaustive Diophantine scan up to cutoff K.
 
@@ -476,8 +475,8 @@ def check_diophantine(
         raise ValueError("K must be >= 1")
     worst_k, worst_margin = None, math.inf
     holds = True
-    with mp.workprec(prec):
-        am = cf.alpha_mp(prec)
+    with mp.workprec(256):
+        am = cf.alpha_mp(256)
         if mode == "frequency":
             x = mp.mpf(0)
             for k in range(1, K + 1):

@@ -134,17 +134,8 @@ class Su11Series:
     def __add__(self, other: "Su11Series") -> "Su11Series":
         return Su11Series(self.t + other.t, self.v + other.v)
 
-    def __sub__(self, other: "Su11Series") -> "Su11Series":
-        return Su11Series(self.t - other.t, self.v - other.v)
-
     def scale(self, c: float) -> "Su11Series":
         return Su11Series(self.t * c, self.v * c)
-
-    def shift(self, beta: float) -> "Su11Series":
-        return Su11Series(self.t.shift(beta), self.v.shift(beta))
-
-    def l1(self) -> float:
-        return max(self.t.l1(), self.v.l1())
 
     def log_norm(self, M: Modulus, ln_r: float) -> float:
         vals = [log_norm_mr_ln(self.t, M, ln_r), log_norm_mr_ln(self.v, M, ln_r)]
@@ -221,8 +212,6 @@ def homotopy_conjugate(
     Q_half: float,
     M: Modulus,
     ln_r: float,
-    newton_tol_factor: float = 1e-12,
-    max_iter: int = 50,
     enforce_hypothesis: bool = True,
 ) -> dict:
     """Find Y in the non-resonant space with e^{Y(.+a)} A e^{g} e^{-Y} = A e^{g_re}.
@@ -268,11 +257,11 @@ def homotopy_conjugate(
     y = np.zeros(2 * K + 1, dtype=complex)
     f_co, logs, p = f_of(y)
     fnorm = float(np.sum(np.abs(f_co)))
-    tol = newton_tol_factor * max(1.0, math.exp(min(ln_g, 50.0)))
+    tol = 1e-12 * max(1.0, math.exp(min(ln_g, 50.0)))
     iters = 0
     polish = 0
     trace = [fnorm]
-    while iters < max_iter:
+    while iters < 50:
         if fnorm <= tol:
             # one or two polish steps while they still help substantially
             if polish >= 2 or fnorm == 0.0:
@@ -297,7 +286,7 @@ def homotopy_conjugate(
                 break
             raise NewtonDivergence(f"no descent at iteration {iters}; trace={trace}")
     if fnorm > tol:
-        raise NewtonDivergence(f"not converged after {max_iter} iterations; trace={trace}")
+        raise NewtonDivergence(f"not converged after 50 iterations; trace={trace}")
 
     t_log, v_log = logs
     g_v = FourierSeries.from_values(v_log, K, False, tail_tol=None)
@@ -333,7 +322,6 @@ def schedule(
     gamma: float,
     tau: float,
     r0: float,
-    C_total: float = 1e3,
 ) -> dict:
     """Log-domain schedule: T, eps_0, and per-level widths and thresholds.
 
@@ -375,7 +363,7 @@ def schedule(
         m = max(ln_eps_rel_list)
         if math.isfinite(m):
             ln_eps_tilde = (
-                math.log(C_total)
+                math.log(1e3)
                 + ln_eps0
                 + m
                 + math.log(sum(math.exp(v - m) for v in ln_eps_rel_list))
@@ -422,11 +410,11 @@ class KamState:
     conj: Optional[FourierSeries] = None  # accumulated conjugation as a series
     meta: dict = field(default_factory=dict)
 
-    def cocycle_series(self, out_K: Optional[int] = None) -> FourierSeries:
+    def cocycle_series(self) -> FourierSeries:
         rot_arg = FourierSeries(self.g.coeffs / (2.0 * math.pi), True) + FourierSeries.constant(
             self.rho_f
         )
-        R = rotation_series(rot_arg, out_K=out_K or (4 * max(self.g.K, self.F.K, 1) + 8))
+        R = rotation_series(rot_arg, out_K=4 * max(self.g.K, self.F.K, 1) + 8)
         E = self.F.exp_map(out_K=R.K)
         return R.mat_mul(E, out_K=R.K, tail_tol=None)
 
@@ -602,17 +590,17 @@ def initial_state(
     )
 
 
-def conjugation_residual(state: KamState, A0: FourierSeries, G: int = 512) -> float:
-    """sup-grid norm of B(.+alpha) A0(.) B(.)^{-1} - R_{rho_f + g/2pi} e^{F}."""
+def conjugation_residual(state: KamState, A0: FourierSeries) -> float:
+    """512-point sup-grid norm of B(.+alpha) A0(.) B(.)^{-1} - R_{rho_f + g/2pi} e^{F}."""
     if state.conj is None:
         B = FourierSeries.constant(np.eye(2))
     else:
         B = state.conj
-    Bv = _grid_values(B, G)
-    Bshift = _grid_values(B.shift(state.alpha), G)
-    Av = _grid_values(A0, G)
+    Bv = _grid_values(B, 512)
+    Bshift = _grid_values(B.shift(state.alpha), 512)
+    Av = _grid_values(A0, 512)
     lhs = Bshift @ Av @ sl2.inv_det1(Bv)
-    target = _grid_values(state.cocycle_series(), G)
+    target = _grid_values(state.cocycle_series(), 512)
     return float(np.max(sl2.frob(lhs - target)))
 
 
@@ -628,12 +616,11 @@ def almost_reducibility_driver(
     r0: float = 0.5,
     mode: str = "measured",
     K_work: int = 48,
-    tol_log_eps: float = -745.0,
 ) -> dict:
     """Iterate kam_step from (alpha, A0), recording a ledger per level.
 
-    Stops at `steps`, at perturbations below exp(tol_log_eps), or at the
-    first hypothesis violation (reported, not fatal).
+    Stops at `steps`, at perturbations below exp(-745) (the float64
+    underflow), or at the first hypothesis violation (reported, not fatal).
     """
     K_work = max(K_work, A0.K + 8)
     R = rotation_series(FourierSeries.constant(rho_f), out_K=2)
@@ -666,7 +653,7 @@ def almost_reducibility_driver(
             "divisor_margin": state.meta.get("divisor_floor"),
         }
         ledger.append(entry)
-        if state.log_eps_measured < tol_log_eps:
+        if state.log_eps_measured < -745.0:
             stop_reason = f"perturbation below tolerance at level {state.level}"
             break
     return {"state": state, "ledger": ledger, "stop_reason": stop_reason}

@@ -165,7 +165,6 @@ def deviation_set_measure(
     S: float,
     rho: float,
     grid_mult: int = 32,
-    q_floor: int = 32,
     threshold: Optional[float] = None,
 ) -> dict:
     """Empirical measure of the Fejer-average deviation set vs its bound.
@@ -176,7 +175,8 @@ def deviation_set_measure(
     so the shifted samples stay on the grid.  The certified threshold
     varsigma_2 R^{-varsigma_1} is usually vacuous at desk scale, so an
     explicit `threshold` can be supplied for empirical decay curves; the
-    certified pair is reported either way.
+    certified pair is reported either way, and checked against its bound
+    from q = 32 on.
     """
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
@@ -197,7 +197,7 @@ def deviation_set_measure(
     measure = float(np.mean(np.abs(avg - mean) > thr))
     cert_measure = float(np.mean(np.abs(avg - mean) > cert_threshold))
     log_bound = 2.0 * s1 * math.log(R) - 8.0 * math.log(2.0) - R**s3
-    meaningful = q >= q_floor
+    meaningful = q >= 32
     return {
         "R": R,
         "measure": measure,
@@ -285,9 +285,10 @@ def gevrey_truncate(A: FourierSeries, N: int, nu: float, rho: float, delta: floa
     }
 
 
-def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float,
-                         samples: int = 64) -> dict:
+def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float) -> dict:
     """|u_N| = |ln ||A_N(. + i rho_N)|| / N| on the strip boundary vs max(ln 2, C1).
+
+    The boundary is sampled at 64 points per side.
 
     C1 is the log of the coefficient sum weighted by e^{2 pi |k| rho_N};
     finite for the truncated (trig-polynomial) cocycle.
@@ -296,12 +297,12 @@ def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float
     C1 = math.log(
         float(np.sum(np.max(np.abs(A_tr.coeffs), axis=(0, 1)) * np.exp(2.0 * np.pi * np.abs(ks) * rho_N)))
     )
-    th = np.arange(samples) / samples
+    th = np.arange(64) / 64
     worst = 0.0
     for sgn in (1.0, -1.0):
         z = th + 1j * sgn * rho_N
-        acc = np.broadcast_to(np.eye(2, dtype=complex), (samples, 2, 2)).copy()
-        log_scale = np.zeros(samples)
+        acc = np.broadcast_to(np.eye(2, dtype=complex), (64, 2, 2)).copy()
+        log_scale = np.zeros(64)
         for j in range(N):
             ph = np.exp(2j * np.pi * np.multiply.outer(z + j * alpha, ks))
             vals = np.tensordot(ph, np.moveaxis(A_tr.coeffs, 2, 0), axes=([-1], [0]))
@@ -316,12 +317,12 @@ def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float
 
 
 def lyapunov_truncation_gap(c_full: QpCocycle, A_tr: FourierSeries, alpha: float, N: int,
-                            log_c: float, b: float, grid: int = 128) -> dict:
+                            log_c: float, b: float) -> dict:
     """|L_N(alpha, A) - L_N(alpha, A-tilde)| against e^{-(c/2) N^b}."""
     full = QpCocycle(alpha, c_full.fiber)
     trunc = QpCocycle.from_series(alpha, A_tr)
-    L1 = finite_lyapunov(full, N, grid)
-    L2 = finite_lyapunov(trunc, N, grid)
+    L1 = finite_lyapunov(full, N)
+    L2 = finite_lyapunov(trunc, N)
     gap = abs(L1 - L2)
     log_bound = -(log_c / 2.0) * N**b
     return {"gap": gap, "log_bound": log_bound,
@@ -376,8 +377,7 @@ def avalanche_check(mats: list, mu: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def periodic_ln_bound(V: FourierSeries, p: int, q: int, E: float, n: int,
-                      grid: int = 128) -> dict:
+def periodic_ln_bound(V: FourierSeries, p: int, q: int, E: float, n: int) -> dict:
     """L_n(p/q, A) <= L(p/q, A) + (2/n)(ln m + q C1) with n = m q + r.
 
     L(p/q, A) is exact for a rational frequency: the theta-averaged log
@@ -386,13 +386,13 @@ def periodic_ln_bound(V: FourierSeries, p: int, q: int, E: float, n: int,
     from .cocycle import schrodinger
 
     c = schrodinger(V, E, p / q)
-    th = np.arange(grid) / grid
+    th = np.arange(128) / 128
     mats, log_scale = _transfer_grid(c, th, q)
     tr = sl2.tr2(mats) * np.exp(log_scale)
     half = np.abs(tr) / 2.0
     rad = np.where(half > 1.0, half + np.sqrt(np.maximum(half * half - 1.0, 0.0)), 1.0)
     L_per = float(np.mean(np.log(rad))) / q
-    Ln = finite_lyapunov(c, n, grid)
+    Ln = finite_lyapunov(c, n, 128)
     fib = c.fiber(th)
     C1 = float(np.max(np.log(sl2.op_norm(fib))))
     m = n // q

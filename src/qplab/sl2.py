@@ -104,13 +104,7 @@ def sl2_exp(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        mu2 = -det2(x)
-        mu = np.sqrt(mu2 + 0j)
-        small = np.abs(mu2) < 1e-12
-        safe = np.where(small, 1.0, mu)
-        sc = np.where(small, 1.0 + mu2 / 6.0, np.sinh(safe) / safe)
-        ch = np.where(small, 1.0 + mu2 / 2.0, np.cosh(mu))
-        return ch[..., None, None] * np.eye(2) + sc[..., None, None] * x
+        return np.eye(2) + sl2_expm1(x)
     mu2 = -det2(x)
     ch = _cosh_branch(mu2)
     sc = _sinhc(mu2)
@@ -172,7 +166,8 @@ def sl2_expm1(x: np.ndarray) -> np.ndarray:
         small = np.abs(mu2) < 1e-12
         safe = np.where(small, 1.0, mu)
         sc = np.where(small, 1.0 + mu2 / 6.0, np.sinh(safe) / safe)
-        chm1 = np.where(small, mu2 / 2.0 * (1.0 + mu2 / 12.0), np.cosh(mu) - 1.0)
+        # cosh(mu) - 1 = 2 sinh^2(mu/2), free of the cancellation of cosh(mu) - 1
+        chm1 = np.where(small, mu2 / 2.0 * (1.0 + mu2 / 12.0), 2.0 * np.sinh(mu / 2.0) ** 2)
         return chm1[..., None, None] * np.eye(2) + sc[..., None, None] * x
     sc = _sinhc(mu2)
     root = np.sqrt(np.abs(mu2))
@@ -192,7 +187,7 @@ def safe_log_int(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2.0)
 
 
-def _pow_cmp(base: int, expo: float, bound: int, rtol: float = 1e-12, logs=None) -> int:
+def _pow_cmp(base: int, expo: float, bound: int, logs=None) -> int:
     """Sign of base**expo - bound for positive ints; 0 when numerically tied.
 
     Exact integer arithmetic is used when `expo` is a small integer, so the
@@ -209,7 +204,7 @@ def _pow_cmp(base: int, expo: float, bound: int, rtol: float = 1e-12, logs=None)
         return (val > bound) - (val < bound)
     log_base, rhs = logs or (safe_log_int(base), safe_log_int(bound))
     lhs = expo * log_base
-    if abs(lhs - rhs) <= rtol * max(1.0, abs(rhs)):
+    if abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)):
         return 0
     return 1 if lhs > rhs else -1
 

@@ -194,12 +194,10 @@ class Discriminant:
             total = total + suf[s + 1] @ dE @ pre[s]
         return total[..., 0, 0] + total[..., 1, 1]
 
-    def fourier(self, E: float, oversample: int = 4) -> dict:
+    def fourier(self, E: float) -> dict:
         """Coefficients a_{q,k}(E) of t = sum_k a_{q,k} e^{2 pi i q k theta}."""
-        if oversample < 4:
-            raise ValueError("oversample must be >= 4")
         d = max(self.V.K, 1)
-        Mpts = oversample * (self.q * d + 1)
+        Mpts = 4 * (self.q * d + 1)
         phis = np.arange(Mpts) / Mpts
         vals = self.value(np.asarray(E), phis / self.q)
         spec = np.fft.fft(vals) / Mpts
@@ -220,8 +218,8 @@ def discriminant(V: FourierSeries, p: int, q: int, E: float, theta: float) -> fl
     return float(Discriminant(V, p, q).value(np.asarray(E), np.asarray(theta)))
 
 
-def discriminant_fourier(V: FourierSeries, p: int, q: int, E: float, oversample: int = 4) -> dict:
-    return Discriminant(V, p, q).fourier(E, oversample)
+def discriminant_fourier(V: FourierSeries, p: int, q: int, E: float) -> dict:
+    return Discriminant(V, p, q).fourier(E)
 
 
 # the q-step block carries a rounding error of order q eps ||T_q||_F, and a
@@ -230,7 +228,7 @@ def discriminant_fourier(V: FourierSeries, p: int, q: int, E: float, oversample:
 _RESOLUTION_FACTOR = 100.0
 
 
-def chambers_deviation(V: FourierSeries, p: int, q: int, E: float, grid: int = 0) -> float:
+def chambers_deviation(V: FourierSeries, p: int, q: int, E: float) -> float:
     """max over theta of |t(E, theta) - a_{q,0}(E)| on a grid of one 1/q period.
 
     Warns with ResolutionWarning when the result is below
@@ -238,7 +236,7 @@ def chambers_deviation(V: FourierSeries, p: int, q: int, E: float, grid: int = 0
     the q-step products, not the deviation.
     """
     d = Discriminant(V, p, q)
-    G = grid or 64 * (max(V.K, 1) + 1)
+    G = 64 * (max(V.K, 1) + 1)
     phis = np.arange(G) / G
     b = d.block(np.asarray(E), phis / q)
     vals = b[..., 0, 0] + b[..., 1, 1]
@@ -261,8 +259,8 @@ def chambers_deviation(V: FourierSeries, p: int, q: int, E: float, grid: int = 0
 
 
 # no caller in the package: perfbench/tracer.py wraps it by name
-def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-10) -> np.ndarray:
-    """Midpoints of the brackets [lo_i, hi_i] after bisecting each to width tol.
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """Midpoints of the brackets [lo_i, hi_i] after bisecting each to width 1e-10.
 
     f is vectorized over E.  Every bracket is halved at once, with the
     comparisons of a one-bracket loop, so each follows its own midpoints.
@@ -270,7 +268,7 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-10) -
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo = f(lo)
     for _ in range(200):
-        act = np.flatnonzero(hi - lo > tol)
+        act = np.flatnonzero(hi - lo > 1e-10)
         if act.size == 0:
             break
         mid = (lo[act] + hi[act]) / 2.0
@@ -334,7 +332,7 @@ def band_set(V: FourierSeries, p: int, q: int, theta: float) -> BandSet:
 # ---------------------------------------------------------------------------
 
 
-def s_sets(V: FourierSeries, p: int, q: int, theta_grid_size: int = 64) -> dict:
+def s_sets(V: FourierSeries, p: int, q: int) -> dict:
     """S_- = {E: max_theta |t| <= 2} and S_+ = {E: min_theta |t| <= 2}.
 
     With E_k^-(theta) <= E_k^+(theta) the edges of the k-th band on a grid
@@ -343,8 +341,7 @@ def s_sets(V: FourierSeries, p: int, q: int, theta_grid_size: int = 64) -> dict:
     [min E_k^-, max E_k^+].  The edges come from one batched eigenvalue
     solve, so no gap is bridged however narrow it is.
     """
-    ths = np.arange(theta_grid_size) / (theta_grid_size * q)
-    edges = _floquet_edges(V, p, q, ths)
+    edges = _floquet_edges(V, p, q, np.arange(64) / (64 * q))
     low, high = edges[:, 0::2], edges[:, 1::2]
     inner = zip(low.max(axis=0), high.min(axis=0))
     return {
@@ -368,14 +365,13 @@ def amo_s_minus_closed_form(lam: float, q: int, p: int = 1) -> BandSet:
 # ---------------------------------------------------------------------------
 
 
-def _moving_bands(V: FourierSeries, p: int, q: int, theta_grid_size: int = 32):
+def _moving_bands(V: FourierSeries, p: int, q: int):
     """Per-index band intervals B_k = [min_theta E_k^-, max_theta E_k^+]."""
-    edges = _floquet_edges(V, p, q, np.arange(theta_grid_size) / (theta_grid_size * q))
+    edges = _floquet_edges(V, p, q, np.arange(32) / (32 * q))
     return list(zip(edges[:, 0::2].min(axis=0), edges[:, 1::2].max(axis=0)))
 
 
-def ids(V: FourierSeries, p: int, q: int, E: float, theta_grid_size: int = 256,
-        edge_tol: float = 1e-10, bands=None) -> float:
+def ids(V: FourierSeries, p: int, q: int, E: float, bands=None) -> float:
     """Integrated density of states of the rational-frequency family at E.
 
     Below the spectrum 0, above 1, constant j/q on gaps; inside the k-th
@@ -394,11 +390,9 @@ def ids(V: FourierSeries, p: int, q: int, E: float, theta_grid_size: int = 256,
         raise BandIndexAmbiguous(f"E={E} lies in overlapping moving bands {inside}")
     k = inside[0] + 1  # 1-based band index
     a, b = bands[k - 1]
-    if min(abs(E - a), abs(E - b)) < edge_tol:
-        raise BandIndexAmbiguous(f"E={E} within {edge_tol} of a band edge")
-    d = Discriminant(V, p, q)
-    ths = np.arange(theta_grid_size) / (theta_grid_size * q)
-    tv = d.value(np.asarray(E), ths)
+    if min(abs(E - a), abs(E - b)) < 1e-10:
+        raise BandIndexAmbiguous(f"E={E} within 1e-10 of a band edge")
+    tv = Discriminant(V, p, q).value(np.asarray(E), np.arange(256) / (256 * q))
     rho = np.where(
         tv > 2.0, 0.0, np.where(tv < -2.0, 0.5, np.arccos(np.clip(tv / 2.0, -1, 1)) / (2 * np.pi))
     )

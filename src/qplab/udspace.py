@@ -102,16 +102,16 @@ class Modulus:
 
     # -- derived constants ---------------------------------------------------
 
-    def _sup_ratio(self, gap: int, s_cap: int = 400) -> float:
-        """sup_s 2^{-s} M_{s+gap} / M_s, with a stabilization check."""
-        key = ("ratio", gap, s_cap)
+    def _sup_ratio(self, gap: int) -> float:
+        """sup over s <= 400 of 2^{-s} M_{s+gap} / M_s, with a stabilization check."""
+        key = ("ratio", gap)
         if key in self._cm_cache:
             return self._cm_cache[key]
-        s = np.arange(s_cap + 1, dtype=float)
+        s = np.arange(401, dtype=float)
         vals = self.log_m(s + gap) - self.log_m(s) - s * math.log(2.0)
         best = float(np.max(vals))
-        if int(np.argmax(vals)) > s_cap - 10:
-            raise ScanCapExceeded(f"C_M/c_M supremum did not stabilize below s={s_cap}")
+        if int(np.argmax(vals)) > 390:
+            raise ScanCapExceeded("C_M/c_M supremum did not stabilize below s=400")
         out = math.exp(best)
         self._cm_cache[key] = out
         return out
@@ -126,33 +126,26 @@ class Modulus:
         """sup_s 2^{-s} M_{s+2}/M_s (norm-comparison constant)."""
         return self._sup_ratio(2)
 
-    def check_h1_h2(self, s_max: int = 200) -> dict:
-        """Sampled log-convexity (strict) and sub-exponential growth."""
-        s = np.arange(s_max + 1, dtype=float)
+    def check_h1_h2(self) -> dict:
+        """Sampled log-convexity (strict) and sub-exponential growth for s <= 200."""
+        s = np.arange(201, dtype=float)
         lm = self.log_m(s)
         inc = np.diff(lm)  # ln M_{s+1} - ln M_s, must be increasing (H1)
         h1 = bool(np.all(np.diff(inc) > -1e-12)) and bool(np.all(inc[1:] - inc[:-1] >= -1e-12))
         strict = bool(np.all(np.diff(inc)[5:] > 0))
-        ratio = inc[1:] / np.arange(1, s_max, dtype=float)
-        tail = ratio[s_max // 2 :]
+        ratio = inc[1:] / np.arange(1, 200, dtype=float)
+        tail = ratio[100:]
         h2 = bool(np.all(np.diff(tail) <= 1e-12)) and tail[-1] < tail[0] + 1e-12
         return {"H1": h1 and strict, "H2": h2}
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "param": self.param}
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Modulus":
-        return cls(kind=cfg["kind"], param=cfg.get("param", 0.0))
-
-
-def _argmax_s(M: Modulus, ln_y: float, cap: int = 10**6) -> int:
+def _argmax_s(M: Modulus, ln_y: float) -> int:
     """argmax over integer s >= 0 of s*ln_y - ln M_s.
 
     By (H1) the increments ln M_{s+1} - ln M_s increase, so the argmax is the
     smallest s with that increment >= ln_y.  Closed-form kinds use doubling +
     bisection (valid at astronomically large s); custom kinds scan linearly
-    under the cap.
+    up to s = 10^6.
     """
     if ln_y <= 0:
         return 0
@@ -163,7 +156,7 @@ def _argmax_s(M: Modulus, ln_y: float, cap: int = 10**6) -> int:
         best_s, best_v = 0, 0.0
         drops = 0
         v = 0.0
-        for s in range(cap):
+        for s in range(10**6):
             v += ln_y - inc(float(s))
             if v > best_v:
                 best_s, best_v, drops = s + 1, v, 0
@@ -259,32 +252,25 @@ def gamma_of_log_sat(M: Modulus, ln_x: float) -> float:
         return math.inf
 
 
-def condition_a_check(
-    M: Modulus,
-    x_lo: float = 2.0,
-    x_hi: float = 1e4,
-    grid: int = 64,
-    pairs: int = 1000,
-    seed: int = 7,
-) -> dict:
+def condition_a_check(M: Modulus) -> dict:
     """Sampled check of the three-part growth/monotonicity condition on Gamma.
 
-    (I)   Gamma(x) -> infinity: the running max over a log grid must keep
-          growing and the tail must dominate the head.
+    (I)   Gamma(x) -> infinity: the running max over a 64-point log grid of
+          [2, 1e4] must keep growing and the tail must dominate the head.
     (II)  Gamma(x) ln x = s(x) non-decreasing (checked exactly on the grid).
-    (III) Lambda(y) - Lambda(x) >= (ln y - ln x) Gamma(x) ln x for random
-          pairs y > x >= 1.
+    (III) Lambda(y) - Lambda(x) >= (ln y - ln x) Gamma(x) ln x for 1000
+          seeded random pairs 1e4 >= y > x >= 1.
     """
-    xs = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), grid))
+    xs = np.exp(np.linspace(math.log(2.0), math.log(1e4), 64))
     svals = np.array([lambda_of_log(M, math.log(x))[1] for x in xs], dtype=float)
     gvals = svals / np.log(xs)
     ii = bool(np.all(np.diff(svals) >= 0))
     i_ok = gvals[-1] > 2.0 * max(gvals[0], 1.0) and svals[-1] > svals[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     iii_ok = True
     worst = math.inf
-    for _ in range(pairs):
-        lx, ly = sorted(rng.uniform(0.0, math.log(x_hi), size=2))
+    for _ in range(1000):
+        lx, ly = sorted(rng.uniform(0.0, math.log(1e4), size=2))
         if ly - lx < 1e-9:
             continue
         lam_x, s_x = lambda_of_log(M, lx)
@@ -296,7 +282,7 @@ def condition_a_check(
     return {"I": bool(i_ok), "II": ii, "III": iii_ok, "worst_iii_slack": worst}
 
 
-def _cleared_from(M: Modulus, level: float, max_samples: int = 20000) -> float:
+def _cleared_from(M: Modulus, level: float) -> float:
     """ln of a certified point past which Gamma stays above `level`.
 
     Gamma(x) = s(x)/ln(x) decreases between the integer jumps of s, so the
@@ -308,7 +294,7 @@ def _cleared_from(M: Modulus, level: float, max_samples: int = 20000) -> float:
     lx = 0.05
     last = 0.05
     above_run = 0
-    for _ in range(max_samples):
+    for _ in range(20000):
         g_cons = _argmax_s(M, lx) / (lx + step)
         if g_cons <= level:
             last = lx
@@ -427,11 +413,10 @@ class FourierSeries:
         return cls(np.zeros(2 * K + 1, dtype=complex), real_flag)
 
     @classmethod
-    def constant(cls, value, real_flag=None) -> "FourierSeries":
-        """The constant map with a scalar or 2x2 value."""
+    def constant(cls, value) -> "FourierSeries":
+        """The constant map with a scalar or 2x2 value, real when the value is."""
         c = np.asarray(value, dtype=complex)[..., None]
-        flag = not np.any(c.imag) if real_flag is None else real_flag
-        return cls(c, flag)
+        return cls(c, not np.any(c.imag))
 
     @classmethod
     def from_dict(cls, d: dict, real_flag: bool = False) -> "FourierSeries":
@@ -443,10 +428,9 @@ class FourierSeries:
         return cls(c, real_flag)
 
     @classmethod
-    def cosine(cls, amp: float = 1.0, harmonic: int = 1) -> "FourierSeries":
-        """amp * cos(2 pi harmonic theta)."""
-        d = {harmonic: amp / 2.0, -harmonic: amp / 2.0}
-        return cls.from_dict(d, real_flag=True)
+    def cosine(cls, amp: float = 1.0) -> "FourierSeries":
+        """amp * cos(2 pi theta)."""
+        return cls.from_dict({1: amp / 2.0, -1: amp / 2.0}, real_flag=True)
 
     @classmethod
     def from_entries(cls, e11, e12, e21, e22) -> "FourierSeries":
@@ -551,15 +535,14 @@ class FourierSeries:
     def derive(self) -> "FourierSeries":
         return FourierSeries(self.coeffs * (2j * np.pi * self.ks()), self.real_flag)
 
-    def reciprocal(self, out_K: Optional[int] = None,
-                   tail_tol: Optional[float] = 1e-13) -> "FourierSeries":
+    def reciprocal(self, out_K: Optional[int] = None) -> "FourierSeries":
         """Pointwise 1/f of a scalar series via the grid; f must be bounded away from zero."""
         out_K = out_K if out_K is not None else self.K
         G = _grid_size(max(out_K, 4 * self.K, 4))
         vals = self.values(G)
         if np.min(np.abs(vals)) < 1e-13:
             raise ValueError("reciprocal of a series vanishing on the grid")
-        return FourierSeries.from_values(1.0 / vals, out_K, self.real_flag, tail_tol)
+        return FourierSeries.from_values(1.0 / vals, out_K, self.real_flag)
 
     def shift(self, beta: float) -> "FourierSeries":
         """f(theta + beta): exact phase rotation of the coefficients."""
@@ -576,9 +559,9 @@ class FourierSeries:
         """Sum of all coefficient magnitudes; bounds the sup norm of every entry."""
         return float(np.sum(np.abs(self.coeffs)))
 
-    def sup_grid(self, G: Optional[int] = None) -> float:
+    def sup_grid(self) -> float:
         """Grid max of |f|; of the operator norm (real) or Frobenius norm for a 2x2 series."""
-        vals = self.values(G)
+        vals = self.values()
         if self.coeffs.ndim == 1:
             return float(np.max(np.abs(vals)))
         return float(np.max(sl2.op_norm(vals) if self.real_flag else sl2.frob(vals)))
@@ -626,8 +609,8 @@ class FourierSeries:
         lv = sl2.sl2_log(self.values(G))
         return FourierSeries.from_values(lv, out_K, self.real_flag, tail_tol)
 
-    def det_drift(self, G: Optional[int] = None) -> float:
-        vals = self.values(G)
+    def det_drift(self) -> float:
+        vals = self.values()
         return float(np.max(np.abs(sl2.det2(vals) - 1.0)))
 
 
@@ -651,13 +634,12 @@ def split_truncate(f: FourierSeries, K: int) -> dict:
     }
 
 
-def rotation_series(g: FourierSeries, out_K: Optional[int] = None,
-                    tail_tol: Optional[float] = 1e-13) -> FourierSeries:
+def rotation_series(g: FourierSeries, out_K: Optional[int] = None) -> FourierSeries:
     """R_{g(theta)} as a 2x2 series: rotation by angle 2 pi g(theta)."""
     out_K = out_K if out_K is not None else 4 * max(g.K, 1)
     G = _grid_size(max(out_K, 2 * g.K, 4))
     vals = np.real(g.values(G))
-    return FourierSeries.from_values(sl2.rot(vals), out_K, True, tail_tol)
+    return FourierSeries.from_values(sl2.rot(vals), out_K, True)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +705,8 @@ def log_norm_mr(f, M: Modulus, r: float, s_cap: Optional[int] = None) -> float:
     return log_norm_mr_ln(f, M, math.log(r), s_cap)
 
 
-def norm_mr(f, M: Modulus, r: float, s_cap: Optional[int] = None) -> float:
-    v = log_norm_mr(f, M, r, s_cap)
+def norm_mr(f, M: Modulus, r: float) -> float:
+    v = log_norm_mr(f, M, r)
     return math.exp(v) if v > -700 else 0.0
 
 
@@ -747,13 +729,13 @@ def log_norm_lambda(f: FourierSeries, M: Modulus, r: float) -> float:
     return m + math.log(float(np.sum(np.exp(terms - m))))
 
 
-def fourier_decay_ok(f: FourierSeries, M: Modulus, r: float, tol: float = 1e-9) -> bool:
+def fourier_decay_ok(f: FourierSeries, M: Modulus, r: float) -> bool:
     """|fhat(k)| <= ||f||_{M,r} exp(-Lambda(|2 pi k| r)) for every k in support."""
     ln_norm = log_norm_mr(f, M, r)
     lam = lambda_many(M, np.abs(2.0 * np.pi * f.ks()) * r)
     mag = np.abs(f.coeffs)
     mask = mag > 0
-    return bool(np.all(np.log(mag[mask]) <= ln_norm - lam[mask] + tol))
+    return bool(np.all(np.log(mag[mask]) <= ln_norm - lam[mask] + 1e-9))
 
 
 def tail_bound_c0(f: FourierSeries, M: Modulus, r: float, K: int) -> dict:

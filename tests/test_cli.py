@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import warnings
 
 import pytest
 
+from qplab import cli
 from qplab.cli import ExperimentConfig, main
 from qplab.spectra import ResolutionWarning
 
@@ -93,3 +95,25 @@ def test_fast_determinism(argv, tmp_path):
     for f1 in sorted(d1.iterdir()):
         f2 = d2 / f1.name
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_every_config_field_has_a_flag(monkeypatch):
+    """Each config field but `command`, also one added to the config, parses
+    from --<name> with its annotated type and reaches from_sources."""
+    Config = dataclasses.make_dataclass("Config", [("extra", "int", 0)], bases=(ExperimentConfig,))
+    monkeypatch.setattr(cli, "ExperimentConfig", Config)
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, "cf", record)
+    samples = {"float": 0.375, "int": 7, "str": "x"}
+    for f in dataclasses.fields(Config):
+        if f.name == "command":
+            continue
+        value = samples[f.type]
+        assert main(["cf", f"--{f.name.replace('_', '-')}", str(value)]) == 0
+        got = getattr(seen[-1], f.name)
+        assert type(got) is type(value) and got == value, f.name

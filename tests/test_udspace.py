@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_real_series
+from qplab import sl2
 from qplab.udspace import (
     AliasingError,
     C_NORM,
@@ -245,6 +246,24 @@ def test_log_map_inverts_exp(rng):
     X = MatSeries.from_entries(x, x * 0.5, x * 0.25, x * (-1.0))
     L = X.exp_map(out_K=24).log_map(out_K=10, tail_tol=None)
     assert (L - X.pad_to(L.K)).l1() <= 1e-10
+
+
+@pytest.mark.parametrize("mu2_abs", [1e-10, 1e-8, 1e-6])
+def test_sl2_expm1_complex_small_argument(mu2_abs):
+    """exp(X) - I entrywise to 1e-13 relative where |mu^2| = |det X| is small.
+
+    X = [[0, m], [m c, 0]] has mu^2 = m^2 c: hyperbolic (c = 1), elliptic
+    (c = -1) and complex (c = 1 + 0.3i); the reference is mpmath at 40 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    for c in (1.0, -1.0, 1.0 + 0.3j):
+        m = math.sqrt(mu2_abs / abs(c))
+        X = np.array([[0.0, m], [m * c, 0.0]])
+        with mpmath.workdps(40):
+            ref = mpmath.expm(mpmath.matrix(X.tolist())) - mpmath.eye(2)
+            ref = np.array(ref.tolist(), dtype=complex)
+        err = np.max(np.abs(sl2.sl2_expm1(X) - ref) / np.abs(ref))
+        assert err <= 1e-13, (c, err)
 
 
 def test_log_map_branch_error():
