@@ -8,8 +8,14 @@ identity.
 The rotation number reads each projective step through a lift of the fiber
 that is continuous in theta: the angle of A(theta) e_1, unwrapped on a
 reference grid, which `QpCocycle.winding` certifies to close up.  Orbits
-and grid products evaluate the fiber in blocks of at most 4096 points
-rather than one step at a time.
+evaluate the fiber in blocks of at most 4096 points rather than one step at
+a time.
+
+Grid products (`_transfer_grid`, `lyapunov_det_drift`) take the fiber in
+entry-major chunks (2, 2, m, G): m steps on a G-point theta grid, with m a
+power of two dividing RESCALE_EVERY and m G <= 4096 unless m = 1.  Each
+chunk is multiplied by pairwise reduction, entrywise on contiguous arrays,
+so no partial product covers more than RESCALE_EVERY consecutive steps.
 """
 
 from __future__ import annotations
@@ -126,6 +132,11 @@ def rotation_cocycle(alpha: float, rho: float) -> QpCocycle:
     return QpCocycle(alpha, fiber, label=f"rotation(rho={rho})")
 
 
+def _frac(x):
+    """x mod 1 in the bits of np.mod(x, 1.0) for every finite x, at the cost of one floor."""
+    return x - np.floor(x)
+
+
 def transfer(c: QpCocycle, theta: float, n: int) -> Sl2Mat:
     """n-step transfer matrix A_n(theta); n < 0 uses the inverse-product convention.
 
@@ -142,7 +153,7 @@ def transfer(c: QpCocycle, theta: float, n: int) -> Sl2Mat:
         steps = theta + alpha * np.arange(n)
     else:
         steps = theta + alpha * np.arange(-1, n - 1, -1)
-    vals = c.fiber(np.mod(steps, 1.0))
+    vals = c.fiber(_frac(steps))
     if n < 0:
         vals = sl2.inv_det1(vals)
     for j in range(abs(n)):
@@ -159,31 +170,66 @@ def transfer(c: QpCocycle, theta: float, n: int) -> Sl2Mat:
     return Sl2Mat(acc, log_scale)
 
 
-def _grid_fibers(c: QpCocycle, thetas: np.ndarray, n: int):
-    """Fibers at thetas + j alpha (mod 1) for j = 0..n-1, yielded one step at a time.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product a b of 2x2 stacks in entry-major layout, shape (2, 2, ...)."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
 
-    The fiber is evaluated once per RESCALE_EVERY steps (fewer steps when the
-    grid is large, so that at most 4096 points are held), with the same theta
-    arithmetic as a one-step evaluation, so the values are bit-identical.
+
+def _chunk_product(vals: np.ndarray) -> np.ndarray:
+    """vals[:, :, k-1] ... vals[:, :, 0] for entry-major stacks (2, 2, k, ...), by pairwise reduction.
+
+    Neighbouring steps are multiplied in pairs, ceil(log2 k) calls in all; an
+    odd step out is carried to the next level, so the order is kept.
     """
-    chunk = max(1, min(RESCALE_EVERY, _BATCH // max(thetas.size, 1)))
-    for j0 in range(0, n, chunk):
-        js = np.arange(j0, min(j0 + chunk, n))
-        yield from c.fiber(np.mod(thetas + js[:, None] * c.alpha, 1.0))
+    while vals.shape[2] > 1:
+        h = vals.shape[2] // 2
+        prod = _mul(vals[:, :, 1:2 * h:2], vals[:, :, 0:2 * h:2])
+        vals = prod if vals.shape[2] == 2 * h else np.concatenate([prod, vals[:, :, 2 * h:]], axis=2)
+    return vals[:, :, 0]
+
+
+def _grid_chunks(c: QpCocycle, thetas: np.ndarray, n: int):
+    """Fibers at thetas + j alpha (mod 1) for j = 0..n-1 as entry-major chunks (2, 2, m, G).
+
+    m is the largest power of two dividing RESCALE_EVERY with m G <= 4096,
+    or 1, so every chunk that is not the last one ends on a rescaling step
+    and at most max(4096, G) points are held.
+    """
+    G = thetas.size
+    m = RESCALE_EVERY
+    while m > 1 and m * G > _BATCH:
+        m //= 2
+    for j0 in range(0, n, m):
+        js = np.arange(j0, min(j0 + m, n))
+        vals = c.fiber(_frac(thetas + js[:, None] * c.alpha))
+        yield np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
 
 
 def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
-    """Vectorized n-step products over a theta grid; returns (mats, log_scales)."""
+    """Vectorized n-step products over a theta grid; returns (mats (G, 2, 2), log_scales (G,)).
+
+    Each chunk of steps from `_grid_chunks` is multiplied by pairwise
+    reduction (`_chunk_product`) and then onto the running product, which is
+    rescaled to max entry 1 every RESCALE_EVERY steps with the logs of the
+    factors kept apart.  No partial product covers more than RESCALE_EVERY
+    consecutive steps, as in a sequential product between rescales, and no
+    more than max(4096, G) fiber values are held at once.  The product order
+    differs from a step-by-step product, so results agree with it to
+    rounding, not bit for bit.
+    """
     G = thetas.size
-    acc = np.broadcast_to(np.eye(2), (G, 2, 2)).copy()
+    acc = np.zeros((2, 2, G))
+    acc[0, 0] = acc[1, 1] = 1.0
     log_scale = np.zeros(G)
-    for j, vals in enumerate(_grid_fibers(c, thetas, n)):
-        acc = vals @ acc
-        if (j + 1) % RESCALE_EVERY == 0:
-            s = np.max(np.abs(acc), axis=(1, 2))
-            acc /= s[:, None, None]
+    j = 0
+    for vals in _grid_chunks(c, thetas, n):
+        acc = _mul(_chunk_product(vals), acc)
+        j += vals.shape[2]
+        if j % RESCALE_EVERY == 0:
+            s = np.max(np.abs(acc), axis=(0, 1))
+            acc /= s
             log_scale += np.log(s)
-    return acc, log_scale
+    return np.ascontiguousarray(np.moveaxis(acc, -1, 0)), log_scale
 
 
 def finite_lyapunov(c: QpCocycle, n: int, grid: int = 128) -> float:
@@ -202,16 +248,18 @@ def lyapunov_det_drift(c: QpCocycle, n: int) -> float:
     The determinant is exactly multiplicative across blocks, so the total
     arithmetic drift is the sum of per-block |ln det| values; blocks of 4
     steps are short enough that each block product is well-conditioned and
-    its determinant is computable at float precision.  Max over a 64-point
-    theta grid.
+    its determinant is computable at float precision.  The blocks are formed
+    by the pairwise `_chunk_product` of `_transfer_grid`, so the drift is that
+    of the arithmetic `_transfer_grid` does.  Max over a 64-point theta grid.
     """
     drift = np.zeros(64)
-    acc = np.broadcast_to(np.eye(2), (64, 2, 2)).copy()
-    for j, vals in enumerate(_grid_fibers(c, np.arange(64) / 64, n)):
-        acc = vals @ acc
-        if (j + 1) % 4 == 0 or j + 1 == n:
-            drift += np.abs(np.log(np.abs(sl2.det2(acc))))
-            acc = np.broadcast_to(np.eye(2), (64, 2, 2)).copy()
+    for vals in _grid_chunks(c, np.arange(64) / 64, n):
+        pad = -vals.shape[2] % 4  # the last block of a short product, filled up with identities
+        if pad:
+            eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, pad, 64))
+            vals = np.concatenate([vals, eye], axis=2)
+        p = _chunk_product(vals.reshape(2, 2, -1, 4, 64).swapaxes(2, 3))
+        drift += np.sum(np.abs(np.log(np.abs(sl2.det2(np.moveaxis(p, (0, 1), (-2, -1)))))), axis=0)
     return float(np.max(drift))
 
 
@@ -225,7 +273,7 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
     whose error grows like k eps, below that of exponentials of 2 pi k s.
     """
     A = c.series
-    steps = np.mod(c.alpha * np.arange(min(_BATCH, n)), 1.0)
+    steps = _frac(c.alpha * np.arange(min(_BATCH, n)))
     if A is not None:
         ks = A.ks()
         z = np.exp(2j * np.pi * steps)
@@ -236,7 +284,7 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
     th = theta0
     for j in range(0, n, _BATCH):
         m = min(_BATCH, n - j)
-        thetas = np.mod(th + steps[:m], 1.0)
+        thetas = _frac(th + steps[:m])
         if A is None:
             mats = c.fiber(thetas)
         else:
