@@ -41,7 +41,7 @@ OUT_ENV = "QPLAB_OUT"
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment configuration; round-trips through JSON exactly."""
+    """Validated experiment configuration: the fields of a JSON config file, then the flags."""
 
     command: str
     alpha: str = "golden"
@@ -77,10 +77,18 @@ class ExperimentConfig:
         if config_path:
             with open(config_path) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("a config file holds one JSON object")
             unknown = set(raw) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config fields: {sorted(unknown)}")
-            data.update(raw)
+            for k, v in raw.items():
+                # a file value takes the type its flag parses to; a float field also takes an int
+                kind = cls.__dataclass_fields__[k].type
+                typ = _FLAG_TYPES[kind]
+                if isinstance(v, bool) or not isinstance(v, (int, float) if typ is float else typ):
+                    raise ValueError(f"config field {k!r} must be {kind}, not {json.dumps(v)}")
+                data[k] = typ(v)
         for k, v in flag_items.items():
             if v is not None:
                 data[k] = v

@@ -3,7 +3,8 @@
 Transfer matrices with overflow-guarded scaling, finite Lyapunov exponents
 by grid quadrature, the fibered rotation number estimated from a single
 projective orbit, and the renormalization iterates with their commutation
-identity.
+identity.  One kernel, `_transfer_grid`, serves every transfer product: any
+integer n (n < 0 by the inverse-product convention) at any set of phases.
 
 The rotation number reads each projective step through a lift of the fiber
 that is continuous in theta: the angle of A(theta) e_1, unwrapped on a
@@ -46,26 +47,6 @@ class LiftResolutionError(WindingError):
     The fiber turns faster between reference grid points than the grid
     resolves, so the lift continuous in theta cannot be read off the grid.
     """
-
-
-@dataclass
-class Sl2Mat:
-    """2x2 real matrix, possibly carried in scaled form.
-
-    The true matrix is exp(log_scale) * m; log_scale is nonzero only for long
-    transfer products whose entries would overflow doubles.
-    """
-
-    m: np.ndarray
-    log_scale: float = 0.0
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if self.m.shape != (2, 2):
-            raise ValueError("Sl2Mat needs a 2x2 array")
-
-    def plain(self) -> np.ndarray:
-        return self.m * math.exp(self.log_scale)
 
 
 @dataclass
@@ -137,39 +118,6 @@ def _frac(x):
     return x - np.floor(x)
 
 
-def transfer(c: QpCocycle, theta: float, n: int) -> Sl2Mat:
-    """n-step transfer matrix A_n(theta); n < 0 uses the inverse-product convention.
-
-    Products are rescaled every few steps with the log of the scale factor
-    accumulated separately, so arbitrarily long hyperbolic products stay
-    representable.
-    """
-    if n == 0:
-        return Sl2Mat(np.eye(2))
-    alpha = c.alpha
-    acc = np.eye(2)
-    log_scale = 0.0
-    if n > 0:
-        steps = theta + alpha * np.arange(n)
-    else:
-        steps = theta + alpha * np.arange(-1, n - 1, -1)
-    vals = c.fiber(_frac(steps))
-    if n < 0:
-        vals = sl2.inv_det1(vals)
-    for j in range(abs(n)):
-        acc = vals[j] @ acc
-        if (j + 1) % RESCALE_EVERY == 0:
-            s = float(np.max(np.abs(acc)))
-            if s > 1e100 or s < 1e-100:
-                acc /= s
-                log_scale += math.log(s)
-    s = float(np.max(np.abs(acc)))
-    if log_scale != 0.0:
-        acc /= s
-        log_scale += math.log(s)
-    return Sl2Mat(acc, log_scale)
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise product a b of 2x2 stacks in entry-major layout, shape (2, 2, ...)."""
     return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
@@ -208,6 +156,12 @@ def _grid_chunks(c: QpCocycle, thetas: np.ndarray, n: int):
 def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     """Vectorized n-step products over a theta grid; returns (mats (G, 2, 2), log_scales (G,)).
 
+    The product is A_n(theta) = mats * exp(log_scales).  n = 0 gives the
+    identity.  n < 0 gives the inverse product
+    A(theta + n alpha)^{-1} ... A(theta - alpha)^{-1}, computed as the -n
+    step product of the fiber A^{-1} over the rotation by -alpha from
+    theta - alpha.
+
     Each chunk of steps from `_grid_chunks` is multiplied by pairwise
     reduction (`_chunk_product`) and then onto the running product, which is
     rescaled to max entry 1 every RESCALE_EVERY steps with the logs of the
@@ -217,6 +171,10 @@ def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     differs from a step-by-step product, so results agree with it to
     rounding, not bit for bit.
     """
+    if n < 0:
+        fiber = c.fiber
+        thetas, n = thetas - c.alpha, -n
+        c = QpCocycle(-c.alpha, lambda th: sl2.inv_det1(fiber(th)))
     G = thetas.size
     acc = np.zeros((2, 2, G))
     acc[0, 0] = acc[1, 1] = 1.0
@@ -392,20 +350,18 @@ def renorm_iterates(c: QpCocycle, cf: CfExpansion, n: int, theta_star: float = 0
     if beta <= 0 or not math.isfinite(cf.log_beta[n - 1]) or beta < 1e-300:
         raise OverflowError("beta_{n-1} underflows; level too deep for float rescaling")
     alpha_n = cf.alpha_tail[n - 1]
-    q_prev = cf.q[n - 1]
-    q_cur = cf.q[n]
     sgn0 = 1 if (n - 1) % 2 == 0 else -1  # (-1)^(n-1)
-    sgn1 = -sgn0
 
-    def a0(x):
-        pts = theta_star + beta * (np.atleast_1d(np.asarray(x, dtype=float)) - theta_star)
-        return np.stack([transfer(c, float(p), sgn0 * q_prev).plain() for p in pts])
+    def iterate(steps):
+        def a(x):
+            pts = theta_star + beta * (np.atleast_1d(np.asarray(x, dtype=float)) - theta_star)
+            mats, log_scale = _transfer_grid(c, pts, steps)
+            return mats * np.exp(log_scale)[:, None, None]
 
-    def a1(x):
-        pts = theta_star + beta * (np.atleast_1d(np.asarray(x, dtype=float)) - theta_star)
-        return np.stack([transfer(c, float(p), sgn1 * q_cur).plain() for p in pts])
+        return a
 
-    return {"A_n0": a0, "A_n1": a1, "alpha_n": alpha_n, "period": 1.0 / beta}
+    return {"A_n0": iterate(sgn0 * cf.q[n - 1]), "A_n1": iterate(-sgn0 * cf.q[n]),
+            "alpha_n": alpha_n, "period": 1.0 / beta}
 
 
 def commutation_residual(it: dict, xs: np.ndarray) -> float:
@@ -420,13 +376,9 @@ def commutation_residual(it: dict, xs: np.ndarray) -> float:
 
 def cocycle_property_residual(c: QpCocycle, theta: float, m: int, n: int) -> float:
     """Relative residual of A_{m+n}(theta) = A_m(theta + n alpha) A_n(theta)."""
-    left = transfer(c, theta, m + n)
-    am = transfer(c, (theta + n * c.alpha) % 1.0, m)
-    an = transfer(c, theta, n)
-    prod = am.m @ an.m
-    ls = am.log_scale + an.log_scale
+    calls = ((theta, m + n), ((theta + n * c.alpha) % 1.0, m), (theta, n))
+    (left, l0), (am, l1), (an, l2) = (_transfer_grid(c, np.array([t]), k) for t, k in calls)
     # align scales before comparing
-    shift = math.exp(min(ls - left.log_scale, 50.0)) if ls != left.log_scale else 1.0
-    diff = np.max(np.abs(prod * shift - left.m))
-    return float(diff / max(np.max(np.abs(left.m)), 1e-300))
-
+    shift = math.exp(min(float(l1[0] + l2[0] - l0[0]), 50.0))
+    diff = np.max(np.abs(am[0] @ an[0] * shift - left[0]))
+    return float(diff / max(np.max(np.abs(left[0])), 1e-300))

@@ -9,6 +9,7 @@ values, envelopes, or pass/fail against caller-supplied scale constants.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import sl2
 from .contfrac import CfExpansion
-from .cocycle import QpCocycle, _transfer_grid, finite_lyapunov
+from .cocycle import QpCocycle, _transfer_grid, finite_lyapunov, schrodinger
 from .sl2 import safe_log_int
 from .udspace import FourierSeries
 
@@ -221,8 +222,6 @@ def ldt_experiment(
     The window C1 q^sigma < N < C2 q^sigma1 is checked (warn-only, the
     constants are existential).
     """
-    import warnings
-
     rat = QpCocycle(a / q, c.fiber, label=c.label)
     G = grid_mult * q
     th = np.arange(G) / G
@@ -300,17 +299,10 @@ def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float
     th = np.arange(64) / 64
     worst = 0.0
     for sgn in (1.0, -1.0):
-        z = th + 1j * sgn * rho_N
-        acc = np.broadcast_to(np.eye(2, dtype=complex), (64, 2, 2)).copy()
-        log_scale = np.zeros(64)
-        for j in range(N):
-            ph = np.exp(2j * np.pi * np.multiply.outer(z + j * alpha, ks))
-            vals = np.tensordot(ph, np.moveaxis(A_tr.coeffs, 2, 0), axes=([-1], [0]))
-            acc = vals @ acc
-            s = np.max(np.abs(acc), axis=(1, 2))
-            acc /= s[:, None, None]
-            log_scale += np.log(s)
-        u = (log_scale + np.log(sl2.frob(acc))) / N
+        # A(theta + i sgn rho_N) is the series with coefficients Ahat(k) e^{-2 pi k sgn rho_N}
+        B = FourierSeries(A_tr.coeffs * np.exp(-2.0 * np.pi * sgn * rho_N * ks))
+        mats, log_scale = _transfer_grid(QpCocycle.from_series(alpha, B), th, N)
+        u = (log_scale + np.log(sl2.frob(mats))) / N
         worst = max(worst, float(np.max(np.abs(u))))
     return {"sup_u": worst, "bound": max(math.log(2.0), C1), "C1": C1,
             "ok": worst <= max(math.log(2.0), C1) + 1e-9}
@@ -383,8 +375,6 @@ def periodic_ln_bound(V: FourierSeries, p: int, q: int, E: float, n: int) -> dic
     L(p/q, A) is exact for a rational frequency: the theta-averaged log
     spectral radius of the period-q block, divided by q.
     """
-    from .cocycle import schrodinger
-
     c = schrodinger(V, E, p / q)
     th = np.arange(128) / 128
     mats, log_scale = _transfer_grid(c, th, q)

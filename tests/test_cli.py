@@ -73,6 +73,24 @@ def test_unknown_config_field_rejected(tmp_path):
     assert main(["cf", "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("raw", [{"lam": True}, {"q": "3"}, {"q": 3.7}, [["q", 3]]],
+                         ids=["bool", "str", "float", "not-an-object"])
+def test_config_value_of_wrong_type_rejected(raw, tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfgfile), "--out-dir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_take_their_field_types(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"lam": 1, "q": 5, "alpha": "0.25"}))
+    cfg = ExperimentConfig.from_sources("spectrum", str(cfgfile), {})
+    assert (type(cfg.lam), cfg.lam, cfg.q, cfg.alpha) == (float, 1.0, 5, "0.25")
+
+
 def test_config_roundtrip():
     cfg = ExperimentConfig(command="cf", alpha="sqrt2m1", depth=7, eps=1e-4)
     blob = json.dumps(cfg.__dict__)

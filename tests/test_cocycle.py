@@ -25,7 +25,6 @@ from qplab.cocycle import (
     rotation_cocycle,
     rotation_number,
     schrodinger,
-    transfer,
 )
 from qplab.udspace import FourierSeries, MatSeries, rotation_series
 
@@ -93,6 +92,36 @@ def _transfer_grid_steps(c, thetas, n):
     return acc, log_scale
 
 
+def _transfer_steps(c, theta, n):
+    """Reference: the per-step product at one phase, n < 0 by the inverse-product convention.
+
+    Returns (m, log_scale) with A_n(theta) = exp(log_scale) m.
+    """
+    if n == 0:
+        return np.eye(2), 0.0
+    acc = np.eye(2)
+    log_scale = 0.0
+    if n > 0:
+        steps = theta + c.alpha * np.arange(n)
+    else:
+        steps = theta + c.alpha * np.arange(-1, n - 1, -1)
+    vals = c.fiber(np.mod(steps, 1.0))
+    if n < 0:
+        vals = sl2.inv_det1(vals)
+    for j in range(abs(n)):
+        acc = vals[j] @ acc
+        if (j + 1) % RESCALE_EVERY == 0:
+            s = float(np.max(np.abs(acc)))
+            if s > 1e100 or s < 1e-100:
+                acc /= s
+                log_scale += math.log(s)
+    s = float(np.max(np.abs(acc)))
+    if log_scale != 0.0:
+        acc /= s
+        log_scale += math.log(s)
+    return acc, log_scale
+
+
 def _det_drift_steps(c, n, grid=64, block=4):
     """Reference: lyapunov_det_drift with one fiber evaluation per step."""
     th = np.arange(grid) / grid
@@ -130,10 +159,34 @@ def test_amo_is_schrodinger_with_cosine():
 
 def test_transfer_trivial_steps():
     c = amo(0.5, 0.0, GOLDEN)
-    assert np.allclose(transfer(c, 0.2, 0).m, np.eye(2))
-    assert np.allclose(transfer(c, 0.2, 1).m, c(0.2))
-    back = transfer(c, 0.2, -1).m
+    th = np.array([0.2])
+    assert np.allclose(_transfer_grid(c, th, 0)[0][0], np.eye(2))
+    assert np.allclose(_transfer_grid(c, th, 1)[0][0], c(0.2))
+    back = _transfer_grid(c, th, -1)[0][0]
     assert np.allclose(back, np.linalg.inv(c(0.2 - GOLDEN)), atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_grid_products_of_any_n_match_per_step_product(lam):
+    """_transfer_grid at n <= 0 and n > 0 against the per-step product, to the
+    tolerances of test_grid_products_match_per_step_evaluation; n = 0, 1, -1 exactly."""
+    c = amo(lam, 0.4, GOLDEN)
+    th = np.array([0.0, 0.123, 0.5, 0.871])
+    for n in (-40, -7, -1, 0, 1, 2, 33, 500):
+        mats, ls = _transfer_grid(c, th, n)
+        assert mats.shape == (th.size, 2, 2) and ls.shape == (th.size,)
+        if n == 0:
+            assert np.array_equal(mats, np.broadcast_to(np.eye(2), mats.shape)) and not np.any(ls)
+        if n == 1:
+            assert np.array_equal(mats, c.fiber(th)) and not np.any(ls)
+        if n == -1:
+            assert np.array_equal(mats, sl2.inv_det1(c.fiber(np.mod(th - GOLDEN, 1.0)))) and not np.any(ls)
+        for i, t in enumerate(th):
+            ref, ref_ls = _transfer_steps(c, float(t), n)
+            gap = abs(_ln_norms(mats[i], ls[i]) - _ln_norms(ref, ref_ls))
+            assert gap <= 1e-11, (n, t, gap)
+            unit = mats[i] / np.max(np.abs(mats[i]))
+            assert np.max(np.abs(unit - ref / np.max(np.abs(ref)))) <= 1e-11, (n, t)
 
 
 def test_cocycle_property():

@@ -6,7 +6,7 @@ import pytest
 import qplab.sl2 as sl2
 from conftest import random_real_series
 from qplab import contfrac
-from qplab.cocycle import QpCocycle, amo, rotation_cocycle
+from qplab.cocycle import QpCocycle, _transfer_grid, amo, rotation_cocycle
 from qplab.ldt import (
     CfExhausted,
     FejerKernel,
@@ -88,8 +88,6 @@ def test_deviation_measure_trivial_cases():
 
 
 def test_deviation_measure_decay(rng):
-    from qplab.cocycle import _transfer_grid
-
     sc = LdtScales()
 
     def make_u(N):
@@ -153,11 +151,10 @@ def test_avalanche_transfer_blocks():
     N = 20
     rng = np.random.default_rng(3)
     worst = 0.0
-    from qplab.cocycle import transfer
-
-    for _ in range(20)[:20]:
+    for _ in range(20):
         th = float(rng.uniform(0, 1))
-        blocks = [transfer(c, (th + j * N * GOLDEN) % 1.0, N).plain() for j in range(6)]
+        mats, ls = _transfer_grid(c, (th + np.arange(6) * N * GOLDEN) % 1.0, N)
+        blocks = list(mats * np.exp(ls)[:, None, None])
         norms = [float(sl2.op_norm(b)) for b in blocks]
         mu = min(norms)
         out = avalanche_check(blocks, mu)
@@ -203,10 +200,44 @@ def test_gevrey_certificate_failure(rng):
         gevrey_truncate(bad, 4, nu=0.7, rho=2.0, delta=0.6, norm_bound=1.0)
 
 
-def test_strip_bound_and_lyapunov_gap(rng):
+def _strip_input(rng):
+    """A Gevrey cocycle and its truncation at N = 6."""
     X = _gevrey_mat(rng, 32, 0.7, 0.2, amp=0.1)
     A = X.exp_map(out_K=64, tail_tol=None)
-    out = gevrey_truncate(A, 6, nu=0.7, rho=0.15, delta=0.6)
+    return A, gevrey_truncate(A, 6, nu=0.7, rho=0.15, delta=0.6)
+
+
+def _strip_sup_steps(A_tr, rho_N, N, alpha):
+    """Reference: sup_u of strip_log_norm_bound by a per-step product of complex fiber values."""
+    ks = A_tr.ks()
+    th = np.arange(64) / 64
+    worst = 0.0
+    for sgn in (1.0, -1.0):
+        z = th + 1j * sgn * rho_N
+        acc = np.broadcast_to(np.eye(2, dtype=complex), (64, 2, 2)).copy()
+        log_scale = np.zeros(64)
+        for j in range(N):
+            ph = np.exp(2j * np.pi * np.multiply.outer(z + j * alpha, ks))
+            vals = np.tensordot(ph, np.moveaxis(A_tr.coeffs, 2, 0), axes=([-1], [0]))
+            acc = vals @ acc
+            s = np.max(np.abs(acc), axis=(1, 2))
+            acc /= s[:, None, None]
+            log_scale += np.log(s)
+        u = (log_scale + np.log(sl2.frob(acc))) / N
+        worst = max(worst, float(np.max(np.abs(u))))
+    return worst
+
+
+@pytest.mark.parametrize("N", [24, 200])
+def test_strip_bound_matches_per_step_product(rng, N):
+    _, out = _strip_input(rng)
+    sb = strip_log_norm_bound(out["A_trunc"], out["rho_N"], N=N, alpha=GOLDEN)
+    ref = _strip_sup_steps(out["A_trunc"], out["rho_N"], N, GOLDEN)
+    assert abs(sb["sup_u"] - ref) <= 1e-12, (sb["sup_u"], ref)
+
+
+def test_strip_bound_and_lyapunov_gap(rng):
+    A, out = _strip_input(rng)
     assert out["N_tilde"] < A.K  # truncation is nontrivial at this scale
     sb = strip_log_norm_bound(out["A_trunc"], out["rho_N"], N=24, alpha=GOLDEN)
     assert sb["ok"]
