@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Discriminant phase-variation decay along a convergent sequence.
 
-Emits (q, deviation, closed_form, sub_exp_reference) rows for the almost
-Mathieu potential and, optionally, an arbitrary trigonometric potential
-given as JSON coefficients.  The third column is the single-harmonic
-closed form 2 lam^q; the fourth is exp(-Lambda(q^(3/4))) for the chosen
-modulus, the sub-exponential reference scale for smooth potentials.
+Prints (q, deviation, closed_form, sub_exp_reference) rows as CSV for the
+almost Mathieu potential 2 lam cos(2 pi theta) at the convergents q >= 3 of
+--alpha.  The third column is the single-harmonic closed form 2 lam^q; the
+fourth is exp(-Lambda(q^(3/4))) for the chosen modulus, the sub-exponential
+reference scale for smooth potentials.
 """
 
 import argparse

@@ -1,22 +1,24 @@
-"""Command-line front end: experiment configuration, dispatch, CSV/JSON
-emission.
+"""Command-line front end: flags, dispatch, CSV/JSON emission.
 
-Every subcommand reads an optional JSON config file plus flag overrides,
-runs one experiment suite, and writes deterministic artifacts (CSV for
-tabular data, JSONL for ledgers, JSON for single structured results).
-Exit codes: 0 success, 2 hypothesis violation (soft), 1 error.
+Each subcommand is a `cmd_*` function whose parameters are its settings:
+it takes one flag per parameter, typed and defaulted by SETTINGS, and no
+other (`qplab <cmd> --help` lists them).  It runs one experiment suite and
+writes deterministic artifacts (CSV for tabular data, JSONL for ledgers,
+JSON for single structured results) into --out-dir, which defaults to
+$QPLAB_OUT or the working directory.
+Exit codes: 0 success, 2 hypothesis violation (soft), 1 error, usage
+errors included.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,78 +40,34 @@ EXIT_HYPOTHESIS = 2
 
 OUT_ENV = "QPLAB_OUT"
 
-
-@dataclass
-class ExperimentConfig:
-    """Validated experiment configuration: the fields of a JSON config file, then the flags."""
-
-    command: str
-    alpha: str = "golden"
-    depth: int = 40
-    prec: int = 256
-    A: float = 25.0
-    lam: float = 0.5
-    E: float = 0.0
-    rho: float = 0.25
-    gamma: float = 0.1
-    tau: float = 1.5
-    v: float = 0.1
-    K: int = 1000
-    q: int = 13
-    p: int = 0
-    levels: int = 4
-    steps: int = 3
-    eps: float = 1e-3
-    r0: float = 0.5
-    kappa: float = 0.05
-    modulus: str = "analytic"
-    modulus_param: float = 0.0
-    mode: str = "measured"
-    seed: int = 0
-    grid: int = 128
-    n: int = 1000
-    out_dir: str = ""
-    out: str = ""
-
-    @classmethod
-    def from_sources(cls, command: str, config_path, flag_items: dict) -> "ExperimentConfig":
-        data = {"command": command}
-        if config_path:
-            with open(config_path) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ValueError("a config file holds one JSON object")
-            unknown = set(raw) - set(cls.__dataclass_fields__)
-            if unknown:
-                raise ValueError(f"unknown config fields: {sorted(unknown)}")
-            for k, v in raw.items():
-                # a file value takes the type its flag parses to; a float field also takes an int
-                kind = cls.__dataclass_fields__[k].type
-                typ = _FLAG_TYPES[kind]
-                if isinstance(v, bool) or not isinstance(v, (int, float) if typ is float else typ):
-                    raise ValueError(f"config field {k!r} must be {kind}, not {json.dumps(v)}")
-                data[k] = typ(v)
-        for k, v in flag_items.items():
-            if v is not None:
-                data[k] = v
-        data["command"] = command
-        return cls(**data)
-
-    def modulus_obj(self) -> Modulus:
-        param = self.modulus_param
-        if self.modulus == "gevrey" and param == 0.0:
-            param = 0.7
-        if self.modulus == "power" and param == 0.0:
-            param = 3.0
-        return Modulus(self.modulus, param)
-
-    def resolve_out(self, default_name: str) -> Path:
-        base = Path(self.out_dir or os.environ.get(OUT_ENV, "."))
-        base.mkdir(parents=True, exist_ok=True)
-        return base / (self.out or default_name)
+# setting -> (type, default); a subcommand takes --<setting> for each of its parameters
+SETTINGS = {
+    "alpha": (str, "golden"),
+    "depth": (int, 40),
+    "lam": (float, 0.5),
+    "E": (float, 0.0),
+    "rho": (float, 0.25),
+    "gamma": (float, 0.1),
+    "tau": (float, 1.5),
+    "v": (float, 0.1),
+    "K": (int, 1000),
+    "q": (int, 13),
+    "p": (int, 0),
+    "levels": (int, 4),
+    "steps": (int, 3),
+    "eps": (float, 1e-3),
+    "modulus": (str, "analytic"),
+    "modulus_param": (float, 0.0),
+    "grid": (int, 128),
+    "n": (int, 1000),
+    "out_dir": (str, ""),
+}
 
 
-def _write(path: Path, text: str):
+def _write(out_dir: str, name: str, text: str):
+    base = Path(out_dir or os.environ.get(OUT_ENV, "."))
+    base.mkdir(parents=True, exist_ok=True)
+    path = base / name
     with open(path, "w") as fh:
         fh.write(text)
     print(path)
@@ -132,6 +90,14 @@ def _amo_series(lam: float) -> FourierSeries:
     return FourierSeries.cosine(2.0 * lam)
 
 
+def _modulus(modulus: str, modulus_param: float) -> Modulus:
+    if modulus == "gevrey" and modulus_param == 0.0:
+        modulus_param = 0.7
+    if modulus == "power" and modulus_param == 0.0:
+        modulus_param = 3.0
+    return Modulus(modulus, modulus_param)
+
+
 def _fib_convergents(cf, levels: int, q_min: int = 3):
     order = [(cf.q[i], cf.p[i], i) for i in range(1, len(cf.q)) if cf.q[i] >= q_min]
     return order[:levels]
@@ -142,26 +108,24 @@ def _fib_convergents(cf, levels: int, q_min: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def cmd_cf(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, cfg.depth, cfg.prec)
-    _write(cfg.resolve_out("cf.json"), e.to_json() + "\n")
+def cmd_cf(alpha, depth, out_dir) -> int:
+    e = contfrac.expand(alpha, depth)
+    _write(out_dir, "cf.json", e.to_json() + "\n")
     return EXIT_OK
 
 
-def cmd_dioph(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, cfg.depth, cfg.prec)
-    freq = contfrac.check_diophantine(e, "frequency", cfg.K, v=cfg.v, tau=cfg.tau)
-    rot = contfrac.check_diophantine(
-        e, "rotation", cfg.K, rho=cfg.rho, gamma=cfg.gamma, tau=cfg.tau
-    )
+def cmd_dioph(alpha, depth, K, v, tau, rho, gamma, out_dir) -> int:
+    e = contfrac.expand(alpha, depth)
+    freq = contfrac.check_diophantine(e, "frequency", K, v=v, tau=tau)
+    rot = contfrac.check_diophantine(e, "rotation", K, rho=rho, gamma=gamma, tau=tau)
     out = {"frequency": freq, "rotation": rot}
-    _write(cfg.resolve_out("dioph.json"), json.dumps(out) + "\n")
+    _write(out_dir, "dioph.json", json.dumps(out) + "\n")
     return EXIT_OK if freq["holds"] and rot["holds"] else EXIT_HYPOTHESIS
 
 
-def cmd_norms(cfg: ExperimentConfig) -> int:
-    M = cfg.modulus_obj()
-    rng = np.random.default_rng(cfg.seed)
+def cmd_norms(modulus, modulus_param, out_dir) -> int:
+    M = _modulus(modulus, modulus_param)
+    rng = np.random.default_rng(0)
     rows = []
     for i in range(8):
         K = int(rng.integers(1, 9))
@@ -169,170 +133,163 @@ def cmd_norms(cfg: ExperimentConfig) -> int:
         f = FourierSeries(c + 0j)
         r = 0.1
         rows.append((i, K, log_norm_mr(f, M, r), norm_lambda(f, M, r)))
-    _write(cfg.resolve_out("norms.csv"), _csv(rows, ["trial", "K", "log_norm_mr", "norm_lambda"]))
+    _write(out_dir, "norms.csv", _csv(rows, ["trial", "K", "log_norm_mr", "norm_lambda"]))
     return EXIT_OK
 
 
-def cmd_lyapunov(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, 2), cfg.prec)
-    c = amo(cfg.lam, cfg.E, e.alpha)
+def cmd_lyapunov(alpha, depth, lam, E, n, grid, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, 2))
+    c = amo(lam, E, e.alpha)
     rows = []
-    n = 1
-    while n <= cfg.n:
-        rows.append((n, finite_lyapunov(c, n, cfg.grid)))
-        n *= 2
-    _write(cfg.resolve_out("lyapunov.csv"), _csv(rows, ["n", "L_n"]))
+    m = 1
+    while m <= n:
+        rows.append((m, finite_lyapunov(c, m, grid)))
+        m *= 2
+    _write(out_dir, "lyapunov.csv", _csv(rows, ["n", "L_n"]))
     return EXIT_OK
 
 
-def cmd_rotnum(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, 2), cfg.prec)
-    c = schrodinger(_amo_series(cfg.lam), cfg.E, e.alpha)
-    out = rotation_number(c, n=cfg.n)
+def cmd_rotnum(alpha, depth, lam, E, n, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, 2))
+    c = schrodinger(_amo_series(lam), E, e.alpha)
+    out = rotation_number(c, n=n)
     rec = {"rho": out["rho"], "error_bar": out["error_bar"]}
-    _write(cfg.resolve_out("rotnum.json"), json.dumps(rec) + "\n")
+    _write(out_dir, "rotnum.json", json.dumps(rec) + "\n")
     return EXIT_OK
 
 
-def cmd_renorm(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, cfg.levels + 2), cfg.prec)
-    c = amo(cfg.lam, cfg.E, e.alpha)
+def cmd_renorm(alpha, depth, lam, E, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, levels + 2))
+    c = amo(lam, E, e.alpha)
     rows = []
-    for lvl in range(1, cfg.levels + 1):
+    for lvl in range(1, levels + 1):
         it = renorm_iterates(c, e, lvl)
         xs = np.linspace(0.0, 2.0, 7)
         rows.append((lvl, commutation_residual(it, xs)))
-    _write(cfg.resolve_out("renorm.csv"), _csv(rows, ["level", "commutation_residual"]))
+    _write(out_dir, "renorm.csv", _csv(rows, ["level", "commutation_residual"]))
     return EXIT_OK
 
 
-def cmd_cohom(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, 8), cfg.prec)
-    rng = np.random.default_rng(cfg.seed)
+def cmd_cohom(alpha, depth, q, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, 8))
+    rng = np.random.default_rng(0)
     rows = []
     for i in range(8):
         K = int(rng.integers(2, 13))
         c = rng.normal(size=2 * K + 1) * np.exp(-0.3 * np.abs(np.arange(-K, K + 1)))
         g = FourierSeries((c + np.conj(c[::-1])) / 2.0 + 0j, True)
-        sol = kam.solve_cohomological(g, e.alpha, Q=cfg.q)
+        sol = kam.solve_cohomological(g, e.alpha, Q=q)
         rows.append((i, K, sol["residual"], sol["divisor_floor"]))
-    _write(cfg.resolve_out("cohom.csv"), _csv(rows, ["trial", "K", "residual", "divisor_floor"]))
+    _write(out_dir, "cohom.csv", _csv(rows, ["trial", "K", "residual", "divisor_floor"]))
     return EXIT_OK
 
 
 @functools.lru_cache(maxsize=4)
-def _deep_bridges(alpha: str, A: float, prec: int):
-    e = contfrac.expand(alpha, 25000, prec)
-    return e, contfrac.select_bridges(e, A)
+def _deep_bridges(alpha: str):
+    e = contfrac.expand(alpha, 25000)
+    return e, contfrac.select_bridges(e, 25.0)
 
 
-def _driver_setup(cfg: ExperimentConfig):
-    e, sel = _deep_bridges(cfg.alpha, cfg.A, cfg.prec)
-    M = cfg.modulus_obj()
-    rng = np.random.default_rng(cfg.seed)
+def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> list:
+    """Ledger of the driver from R_rho e^F, F a seeded sl(2,R) perturbation of size eps."""
+    e, sel = _deep_bridges(alpha)
+    rng = np.random.default_rng(0)
     K0 = 10
 
     def small_real(amp):
         c = rng.normal(size=2 * K0 + 1) * np.exp(-0.5 * np.abs(np.arange(-K0, K0 + 1))) + 0j
         return FourierSeries(amp * (c + np.conj(c[::-1])) / 2.0, True)
 
-    x, y, z = (small_real(cfg.eps) for _ in range(3))
+    x, y, z = (small_real(eps) for _ in range(3))
     F = FourierSeries.from_entries(x, y + z, y - z, x * (-1.0))
-    E = F.exp_map(out_K=3 * K0)
-    R = rotation_series(FourierSeries.constant(cfg.rho), out_K=2)
-    A0 = R.mat_mul(E, out_K=3 * K0 + 4, tail_tol=None)
-    return e, sel, M, A0
+    R = rotation_series(FourierSeries.constant(rho), out_K=2)
+    A0 = R.mat_mul(F.exp_map(out_K=3 * K0), out_K=3 * K0 + 4, tail_tol=None)
+    M = _modulus(modulus, modulus_param)
+    out = kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps, gamma=gamma,
+                                         tau=tau)
+    return out["ledger"]
 
 
-def _kam_driver(cfg: ExperimentConfig, steps: int, name: str) -> int:
-    """Run the driver for `steps` levels; exit 0 only if every level completed."""
-    e, sel, M, A0 = _driver_setup(cfg)
-    out = kam.almost_reducibility_driver(
-        e.alpha, A0, cfg.rho, M, sel, steps=steps, gamma=cfg.gamma, tau=cfg.tau,
-        r0=cfg.r0, mode=cfg.mode,
-    )
-    _write(cfg.resolve_out(name), kam.ledger_to_jsonl(out["ledger"]))
-    return EXIT_OK if len(out["ledger"]) == steps else EXIT_HYPOTHESIS
+# both exit 0 only if every level completed
+def cmd_kam_step(alpha, rho, gamma, tau, eps, modulus, modulus_param, out_dir) -> int:
+    ledger = _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, 1)
+    _write(out_dir, "kam_step.jsonl", kam.ledger_to_jsonl(ledger))
+    return EXIT_OK if len(ledger) == 1 else EXIT_HYPOTHESIS
 
 
-def cmd_kam_step(cfg: ExperimentConfig) -> int:
-    return _kam_driver(cfg, 1, "kam_step.jsonl")
+def cmd_kam_run(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps, out_dir) -> int:
+    ledger = _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps)
+    _write(out_dir, "kam_run.jsonl", kam.ledger_to_jsonl(ledger))
+    return EXIT_OK if len(ledger) == steps else EXIT_HYPOTHESIS
 
 
-def cmd_kam_run(cfg: ExperimentConfig) -> int:
-    return _kam_driver(cfg, cfg.steps, "kam_run.jsonl")
-
-
-def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    V = _amo_series(cfg.lam)
-    p = cfg.p or _coprime_p(cfg.q)
-    bs = spectra.band_set(V, p, cfg.q, theta=0.0)
-    _write(cfg.resolve_out("spectrum.csv"), bs.to_csv())
+def cmd_spectrum(lam, q, p, out_dir) -> int:
+    bs = spectra.band_set(_amo_series(lam), p or _coprime_p(q), q, theta=0.0)
+    _write(out_dir, "spectrum.csv", bs.to_csv())
     return EXIT_OK
 
 
-def cmd_sminus(cfg: ExperimentConfig) -> int:
-    V = _amo_series(cfg.lam)
-    p = cfg.p or _coprime_p(cfg.q)
-    ss = spectra.s_sets(V, p, cfg.q)
-    _write(cfg.resolve_out("sminus.csv"), ss["S_minus"].to_csv())
-    _write(cfg.resolve_out("splus.csv"), ss["S_plus"].to_csv())
+def cmd_sminus(lam, q, p, out_dir) -> int:
+    ss = spectra.s_sets(_amo_series(lam), p or _coprime_p(q), q)
+    _write(out_dir, "sminus.csv", ss["S_minus"].to_csv())
+    _write(out_dir, "splus.csv", ss["S_plus"].to_csv())
     return EXIT_OK
 
 
-def cmd_ids(cfg: ExperimentConfig) -> int:
-    V = _amo_series(cfg.lam)
-    p = cfg.p or _coprime_p(cfg.q)
-    bands = spectra._moving_bands(V, p, cfg.q)
+def cmd_ids(lam, q, p, grid, out_dir) -> int:
+    V = _amo_series(lam)
+    p = p or _coprime_p(q)
+    bands = spectra._moving_bands(V, p, q)
     lo, hi = bands[0][0] - 0.5, bands[-1][1] + 0.5
     rows = []
-    for E in np.linspace(lo, hi, cfg.grid):
+    for E in np.linspace(lo, hi, grid):
         try:
-            rows.append((float(E), spectra.ids(V, p, cfg.q, float(E), bands=bands)))
+            rows.append((float(E), spectra.ids(V, p, q, float(E), bands=bands)))
         except spectra.BandIndexAmbiguous:
             continue
-    _write(cfg.resolve_out("ids.csv"), _csv(rows, ["E", "N"]))
+    _write(out_dir, "ids.csv", _csv(rows, ["E", "N"]))
     return EXIT_OK
 
 
-def cmd_chambers(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, cfg.levels + 4), cfg.prec)
-    V = _amo_series(cfg.lam)
+def cmd_chambers(alpha, depth, lam, E, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, levels + 4))
+    V = _amo_series(lam)
     rows = []
-    for q, p, _ in _fib_convergents(e, cfg.levels):
-        dev = spectra.chambers_deviation(V, p, q, cfg.E)
-        rows.append((q, dev, 2.0 * cfg.lam**q))
-    _write(cfg.resolve_out("chambers.csv"), _csv(rows, ["q", "deviation", "two_lambda_pow_q"]))
+    for q, p, _ in _fib_convergents(e, levels):
+        dev = spectra.chambers_deviation(V, p, q, E)
+        rows.append((q, dev, 2.0 * lam**q))
+    _write(out_dir, "chambers.csv", _csv(rows, ["q", "deviation", "two_lambda_pow_q"]))
     return EXIT_OK
 
 
-def cmd_fejer(cfg: ExperimentConfig) -> int:
-    ker = ldt.FejerKernel(min(cfg.K, 1000), min(max(cfg.p, 1), 4))
+def cmd_fejer(K, p, out_dir) -> int:
+    ker = ldt.FejerKernel(min(K, 1000), min(max(p, 1), 4))
     rec = {
         "R": ker.R,
         "p": ker.p,
         "identity_exact": ker.identity_exact(),
         "coefficients": [int(v) for v in ker.c],
     }
-    _write(cfg.resolve_out("fejer.json"), json.dumps(rec) + "\n")
+    _write(out_dir, "fejer.json", json.dumps(rec) + "\n")
     return EXIT_OK
 
 
-def cmd_ldt(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, 12, cfg.prec)
-    scales = ldt.LdtScales(kappa=cfg.kappa)
+def cmd_ldt(alpha, E, out_dir) -> int:
+    e = contfrac.expand(alpha, 12)
+    scales = ldt.LdtScales()
+    kappa = scales.kappa
     rows = []
     for q, p, _ in _fib_convergents(e, 3, q_min=13):
         N = int(round(q**1.45))
-        r = ldt.ldt_experiment(amo(3.0, cfg.E, e.alpha), p, q, N=N, kappa=cfg.kappa,
+        r = ldt.ldt_experiment(amo(3.0, E, e.alpha), p, q, N=N, kappa=kappa,
                                grid_mult=128, scales=scales)
-        rows.append((q, N, cfg.kappa, r["measure"], math.exp(-scales.c_ldt * q**scales.gamma)))
-    _write(cfg.resolve_out("ldt.csv"), _csv(rows, ["q", "N", "kappa", "measure", "bound"]))
+        rows.append((q, N, kappa, r["measure"], math.exp(-scales.c_ldt * q**scales.gamma)))
+    _write(out_dir, "ldt.csv", _csv(rows, ["q", "N", "kappa", "measure", "bound"]))
     return EXIT_OK
 
 
-def cmd_avalanche(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def cmd_avalanche(out_dir) -> int:
+    rng = np.random.default_rng(0)
     mu = 40.0
     rows = []
     mats = [np.diag([mu, 1.0 / mu]) for _ in range(8)]
@@ -344,39 +301,32 @@ def cmd_avalanche(cfg: ExperimentConfig) -> int:
     bad = mats + [np.eye(2)]
     out = ldt.avalanche_check(bad, mu)
     rows.append(("violation", out["lhs"], out["rhs_unit"], out["hypothesis_ok"]))
-    _write(cfg.resolve_out("avalanche.csv"), _csv(rows, ["case", "lhs", "n_over_mu", "hypothesis_ok"]))
+    _write(out_dir, "avalanche.csv", _csv(rows, ["case", "lhs", "n_over_mu", "hypothesis_ok"]))
     return EXIT_OK
 
 
-def cmd_seqs(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, 250), cfg.prec)
-    scales = ldt.LdtScales(kappa=cfg.kappa)
-    out = ldt.induction_sequences(e, scales, s_max=cfg.levels, q0_min=10**5)
+def cmd_seqs(alpha, depth, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, 250))
+    out = ldt.induction_sequences(e, ldt.LdtScales(), s_max=levels, q0_min=10**5)
     rows = [
         (t["s"], str(t["q_tilde"]), t["log_N"], t["log_m"], t["window_ok"], t["sandwich_ok"])
         for t in out["terms"]
     ]
-    _write(
-        cfg.resolve_out("seqs.csv"),
-        _csv(rows, ["s", "q_tilde", "log_N", "log_m", "window_ok", "sandwich_ok"]),
-    )
+    _write(out_dir, "seqs.csv", _csv(rows, ["s", "q_tilde", "log_N", "log_m", "window_ok",
+                                            "sandwich_ok"]))
     return EXIT_OK
 
 
-def cmd_last_diff(cfg: ExperimentConfig) -> int:
-    e = contfrac.expand(cfg.alpha, max(cfg.depth, cfg.levels + 6), cfg.prec)
-    conv = _fib_convergents(e, cfg.levels + 1, q_min=5)
-    sets = []
-    for q, p, _ in conv:
-        sets.append((q, spectra.amo_s_minus_closed_form(cfg.lam, q, p)))
+def cmd_last_diff(alpha, depth, lam, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, max(depth, levels + 6))
+    sets = [(q, spectra.amo_s_minus_closed_form(lam, q, p))
+            for q, p, _ in _fib_convergents(e, levels + 1, q_min=5)]
     rows = []
-    for i in range(len(sets) - 1):
-        d = spectra.set_distance(sets[i][1], sets[i + 1][1])
-        rows.append((sets[i][0], sets[i + 1][0], d["symdiff_measure"], d["hausdorff"]))
-    _write(
-        cfg.resolve_out("last_diff.csv"),
-        _csv(rows, ["q_n", "q_next", "symdiff_measure", "hausdorff"]),
-    )
+    for (qa, sa), (qb, sb) in zip(sets, sets[1:]):
+        d = spectra.set_distance(sa, sb)
+        rows.append((qa, qb, d["symdiff_measure"], d["hausdorff"]))
+    _write(out_dir, "last_diff.csv", _csv(rows, ["q_n", "q_next", "symdiff_measure",
+                                                 "hausdorff"]))
     return EXIT_OK
 
 
@@ -408,40 +358,37 @@ COMMANDS = {
     "last-diff": cmd_last_diff,
 }
 
-_FLAG_TYPES = {"float": float, "int": int, "str": str}
+
+class _UsageError(Exception):
+    """A malformed command line: an unknown flag or an unparsable value."""
 
 
-def _flags() -> list:
-    """One flag per config field but `command`: the float, then the int, then the str fields."""
-    fields = [f for f in dataclasses.fields(ExperimentConfig) if f.name != "command"]
-    return sorted(fields, key=lambda f: list(_FLAG_TYPES).index(f.type))
+class _Parser(argparse.ArgumentParser):
+    # argparse would exit 2, the code of a hypothesis violation
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qplab", description=__doc__)
+    ap = _Parser(prog="qplab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, fn in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        for f in _flags():
-            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=_FLAG_TYPES[f.type],
-                           default=None)
+        for key in inspect.signature(fn).parameters:
+            typ, default = SETTINGS[key]
+            p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=default,
+                           help=f"default {default!r}")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    flags = {f.name: getattr(args, f.name) for f in _flags()}
     try:
-        cfg = ExperimentConfig.from_sources(args.command, args.config, flags)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        args = vars(build_parser().parse_args(argv))
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return COMMANDS[args.command](cfg)
-    except (kam.HypothesisViolated, ldt.ScalesInvalid) as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return COMMANDS[args.pop("command")](**args)
     except Exception as exc:  # propagated library errors with provenance
         print(f"error [{type(exc).__module__}.{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -59,7 +59,6 @@ class QpCocycle:
 
     alpha: float
     fiber: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
     series: Optional[FourierSeries] = None
 
     @classmethod
@@ -93,7 +92,7 @@ def schrodinger(V: FourierSeries, E: float, alpha: float = 0.0) -> QpCocycle:
     def fiber(th):
         return sl2.schrodinger_fiber(np.real(V(th)), E)
 
-    return QpCocycle(alpha, fiber, label=f"schrodinger(E={E})")
+    return QpCocycle(alpha, fiber)
 
 
 def amo(lam: float, E: float, alpha: float = 0.0) -> QpCocycle:
@@ -102,7 +101,7 @@ def amo(lam: float, E: float, alpha: float = 0.0) -> QpCocycle:
     def fiber(th):
         return sl2.schrodinger_fiber(2.0 * lam * np.cos(2.0 * np.pi * np.asarray(th, dtype=float)), E)
 
-    return QpCocycle(alpha, fiber, label=f"amo(lambda={lam},E={E})")
+    return QpCocycle(alpha, fiber)
 
 
 def rotation_cocycle(alpha: float, rho: float) -> QpCocycle:
@@ -110,7 +109,7 @@ def rotation_cocycle(alpha: float, rho: float) -> QpCocycle:
         th = np.asarray(th, dtype=float)
         return np.broadcast_to(sl2.rot(rho), th.shape + (2, 2)).copy()
 
-    return QpCocycle(alpha, fiber, label=f"rotation(rho={rho})")
+    return QpCocycle(alpha, fiber)
 
 
 def _frac(x):

@@ -613,7 +613,6 @@ def almost_reducibility_driver(
     steps: int,
     gamma: float = 0.1,
     tau: float = 1.5,
-    r0: float = 0.5,
     mode: str = "measured",
     K_work: int = 48,
 ) -> dict:
@@ -627,6 +626,7 @@ def almost_reducibility_driver(
     G = _grid_size(4 * max(A0.K, K_work))
     dev = sl2.rot(-rho_f)[None, :, :] @ (A0 - R).values(G)
     F0 = FourierSeries.from_values(sl2.sl2_log_dev(dev), K_work, True, tail_tol=None)
+    r0 = 0.5  # the first step works at the full width 2 r0 = 1
     state = initial_state(alpha, rho_f, F0, M, sel, r0)
     sched = None
     if mode == "strict":

@@ -222,7 +222,7 @@ def ldt_experiment(
     The window C1 q^sigma < N < C2 q^sigma1 is checked (warn-only, the
     constants are existential).
     """
-    rat = QpCocycle(a / q, c.fiber, label=c.label)
+    rat = QpCocycle(a / q, c.fiber)
     G = grid_mult * q
     th = np.arange(G) / G
     mats, log_scale = _transfer_grid(rat, th, N)

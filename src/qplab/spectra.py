@@ -332,16 +332,27 @@ def band_set(V: FourierSeries, p: int, q: int, theta: float) -> BandSet:
 # ---------------------------------------------------------------------------
 
 
+def _phases(V: FourierSeries, q: int) -> np.ndarray:
+    """64 ceil((2K + 1)/8) phases on one 1/q period, for V of degree K.
+
+    t(E, theta) is a trigonometric polynomial of degree K in q theta, so the
+    grid takes at least 8 phases per Fourier mode of it: 64 for K = 1, 704
+    for K = 40.
+    """
+    G = 64 * -(-(2 * V.K + 1) // 8)
+    return np.arange(G) / (G * q)
+
+
 def s_sets(V: FourierSeries, p: int, q: int) -> dict:
     """S_- = {E: max_theta |t| <= 2} and S_+ = {E: min_theta |t| <= 2}.
 
-    With E_k^-(theta) <= E_k^+(theta) the edges of the k-th band on a grid
-    of one 1/q period (t is 1/q-periodic), S_- is the union of the nonempty
-    [max E_k^-, min E_k^+] and S_+ the union of the moving bands
+    With E_k^-(theta) <= E_k^+(theta) the edges of the k-th band on the
+    _phases grid of one 1/q period (t is 1/q-periodic), S_- is the union of
+    the nonempty [max E_k^-, min E_k^+] and S_+ the union of the moving bands
     [min E_k^-, max E_k^+].  The edges come from one batched eigenvalue
     solve, so no gap is bridged however narrow it is.
     """
-    edges = _floquet_edges(V, p, q, np.arange(64) / (64 * q))
+    edges = _floquet_edges(V, p, q, _phases(V, q))
     low, high = edges[:, 0::2], edges[:, 1::2]
     inner = zip(low.max(axis=0), high.min(axis=0))
     return {
@@ -367,7 +378,7 @@ def amo_s_minus_closed_form(lam: float, q: int, p: int = 1) -> BandSet:
 
 def _moving_bands(V: FourierSeries, p: int, q: int):
     """Per-index band intervals B_k = [min_theta E_k^-, max_theta E_k^+]."""
-    edges = _floquet_edges(V, p, q, np.arange(32) / (32 * q))
+    edges = _floquet_edges(V, p, q, _phases(V, q))
     return list(zip(edges[:, 0::2].min(axis=0), edges[:, 1::2].max(axis=0)))
 
 

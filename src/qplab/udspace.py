@@ -49,7 +49,6 @@ class Modulus:
       analytic      ln M_s = ln s!
       gevrey(nu)    ln M_s = ln s! / nu            (0 < nu <= 1)
       power(delta)  ln M_s = (delta-1) (s/delta)^(delta/(delta-1))
-      custom        caller-supplied generator, linear scans only
 
     The power generator is the convex dual of y -> (ln y)^delta, so that
     Lambda(y) ~ (ln y)^delta with constant 1 (the plain s^(delta/(delta-1))
@@ -58,7 +57,7 @@ class Modulus:
 
     kind: str
     param: float = 0.0
-    generator: Optional[Callable[[float], float]] = None
+    generator: Callable[[float], float] = field(init=False)
     _cm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -75,9 +74,6 @@ class Modulus:
             d = self.param
             e = d / (d - 1.0)
             self.generator = lambda s: (d - 1.0) * (s / d) ** e if s > 0 else 0.0
-        elif self.kind == "custom":
-            if self.generator is None:
-                raise ValueError("custom modulus needs a generator")
         else:
             raise ValueError(f"unknown modulus kind {self.kind!r}")
 
@@ -92,13 +88,11 @@ class Modulus:
             return math.log(s + 1.0)
         if self.kind == "gevrey":
             return math.log(s + 1.0) / self.param
-        if self.kind == "power":
-            d = self.param
-            e = d / (d - 1.0)
-            if s == 0.0:
-                return (d - 1.0) * (1.0 / d) ** e
-            return (d - 1.0) * (s / d) ** e * math.expm1(e * math.log1p(1.0 / s))
-        return float(self.generator(s + 1.0) - self.generator(s))
+        d = self.param  # power(delta)
+        e = d / (d - 1.0)
+        if s == 0.0:
+            return (d - 1.0) * (1.0 / d) ** e
+        return (d - 1.0) * (s / d) ** e * math.expm1(e * math.log1p(1.0 / s))
 
     # -- derived constants ---------------------------------------------------
 
@@ -143,29 +137,12 @@ def _argmax_s(M: Modulus, ln_y: float) -> int:
     """argmax over integer s >= 0 of s*ln_y - ln M_s.
 
     By (H1) the increments ln M_{s+1} - ln M_s increase, so the argmax is the
-    smallest s with that increment >= ln_y.  Closed-form kinds use doubling +
-    bisection (valid at astronomically large s); custom kinds scan linearly
-    up to s = 10^6.
+    smallest s with that increment >= ln_y, found by doubling + bisection
+    (valid at astronomically large s).
     """
     if ln_y <= 0:
         return 0
     inc = M.log_m_inc
-
-    if M.kind == "custom":
-        prev = 0.0
-        best_s, best_v = 0, 0.0
-        drops = 0
-        v = 0.0
-        for s in range(10**6):
-            v += ln_y - inc(float(s))
-            if v > best_v:
-                best_s, best_v, drops = s + 1, v, 0
-            else:
-                drops += 1
-                if drops >= 2:
-                    return best_s
-        raise ScanCapExceeded("objective never turned over within the scan cap")
-
     if inc(0.0) >= ln_y:
         return 0
     hi = 1
@@ -247,8 +224,6 @@ def gamma_of_log_sat(M: Modulus, ln_x: float) -> float:
     try:
         return _argmax_s(M, ln_x) / ln_x
     except ScanCapExceeded:
-        if M.kind == "custom":
-            raise
         return math.inf
 
 

@@ -38,7 +38,8 @@ def test_h1_h2_standard_moduli(moduli):
 
 
 def test_h1_fails_for_flat_custom():
-    M = Modulus("custom", generator=lambda s: 0.0)  # M_s = 1: not log-convex strictly
+    M = Modulus("analytic")
+    M.generator = lambda s: 0.0  # M_s = 1: not log-convex strictly
     out = M.check_h1_h2()
     assert not out["H1"]
 
