@@ -57,7 +57,7 @@ SETTINGS = {
     "steps": (int, 3),
     "eps": (float, 1e-3),
     "modulus": (str, "analytic"),
-    "modulus_param": (float, 0.0),
+    "modulus_param": (float, None),
     "grid": (int, 128),
     "n": (int, 1000),
     "out_dir": (str, ""),
@@ -90,11 +90,15 @@ def _amo_series(lam: float) -> FourierSeries:
     return FourierSeries.cosine(2.0 * lam)
 
 
-def _modulus(modulus: str, modulus_param: float) -> Modulus:
-    if modulus == "gevrey" and modulus_param == 0.0:
-        modulus_param = 0.7
-    if modulus == "power" and modulus_param == 0.0:
-        modulus_param = 3.0
+# the parameter of each class when --modulus-param is not given
+_MODULUS_PARAM = {"gevrey": 0.7, "power": 3.0}
+
+
+def _modulus(modulus: str, modulus_param) -> Modulus:
+    if modulus_param is None:
+        return Modulus(modulus, _MODULUS_PARAM.get(modulus, 0.0))
+    if modulus == "analytic":
+        raise ValueError("the analytic modulus takes no --modulus-param")
     return Modulus(modulus, modulus_param)
 
 
@@ -192,6 +196,7 @@ def _deep_bridges(alpha: str):
 
 def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> list:
     """Ledger of the driver from R_rho e^F, F a seeded sl(2,R) perturbation of size eps."""
+    M = _modulus(modulus, modulus_param)
     e, sel = _deep_bridges(alpha)
     rng = np.random.default_rng(0)
     K0 = 10
@@ -204,7 +209,6 @@ def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> l
     F = FourierSeries.from_entries(x, y + z, y - z, x * (-1.0))
     R = rotation_series(FourierSeries.constant(rho), out_K=2)
     A0 = R.mat_mul(F.exp_map(out_K=3 * K0), out_K=3 * K0 + 4, tail_tol=None)
-    M = _modulus(modulus, modulus_param)
     out = kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps, gamma=gamma,
                                          tau=tau)
     return out["ledger"]
@@ -263,7 +267,11 @@ def cmd_chambers(alpha, depth, lam, E, levels, out_dir) -> int:
 
 
 def cmd_fejer(K, p, out_dir) -> int:
-    ker = ldt.FejerKernel(min(K, 1000), min(max(p, 1), 4))
+    p = p or 1
+    # the coefficients are exact integers from p convolutions of length K
+    if not (1 <= K <= 1000 and 1 <= p <= 4):
+        raise ValueError(f"fejer needs 1 <= K <= 1000 and 1 <= p <= 4, got K={K}, p={p}")
+    ker = ldt.FejerKernel(K, p)
     rec = {
         "R": ker.R,
         "p": ker.p,

@@ -12,11 +12,11 @@ reference grid, which `QpCocycle.winding` certifies to close up.  Orbits
 evaluate the fiber in blocks of at most 4096 points rather than one step at
 a time.
 
-Grid products (`_transfer_grid`, `lyapunov_det_drift`) take the fiber in
-entry-major chunks (2, 2, m, G): m steps on a G-point theta grid, with m a
-power of two dividing RESCALE_EVERY and m G <= 4096 unless m = 1.  Each
-chunk is multiplied by pairwise reduction, entrywise on contiguous arrays,
-so no partial product covers more than RESCALE_EVERY consecutive steps.
+Grid products (`_transfer_grid`, `lyapunov_det_drift`) run on the chunked
+pairwise kernel of `sl2`: the fiber comes in entry-major chunks (2, 2, m, G)
+of m steps on a G-point theta grid, m a power of two dividing RESCALE_EVERY
+with m G <= 4096 unless m = 1, so no partial product covers more than
+RESCALE_EVERY consecutive steps.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from . import sl2
 from .contfrac import CfExpansion
 from .udspace import FourierSeries
 
-RESCALE_EVERY = 32
+RESCALE_EVERY = sl2._CHUNK  # every chunk length divides it
 _LIFT_GRID = 256  # reference grid of the e_1 lift that winding() certifies
-_BATCH = 4096  # most fiber values held at once
 _CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
 
 
@@ -117,35 +116,14 @@ def _frac(x):
     return x - np.floor(x)
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product a b of 2x2 stacks in entry-major layout, shape (2, 2, ...)."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
-
-
-def _chunk_product(vals: np.ndarray) -> np.ndarray:
-    """vals[:, :, k-1] ... vals[:, :, 0] for entry-major stacks (2, 2, k, ...), by pairwise reduction.
-
-    Neighbouring steps are multiplied in pairs, ceil(log2 k) calls in all; an
-    odd step out is carried to the next level, so the order is kept.
-    """
-    while vals.shape[2] > 1:
-        h = vals.shape[2] // 2
-        prod = _mul(vals[:, :, 1:2 * h:2], vals[:, :, 0:2 * h:2])
-        vals = prod if vals.shape[2] == 2 * h else np.concatenate([prod, vals[:, :, 2 * h:]], axis=2)
-    return vals[:, :, 0]
-
-
 def _grid_chunks(c: QpCocycle, thetas: np.ndarray, n: int):
     """Fibers at thetas + j alpha (mod 1) for j = 0..n-1 as entry-major chunks (2, 2, m, G).
 
-    m is the largest power of two dividing RESCALE_EVERY with m G <= 4096,
-    or 1, so every chunk that is not the last one ends on a rescaling step
-    and at most max(4096, G) points are held.
+    m = sl2._chunk_steps(G) divides RESCALE_EVERY, so every chunk that is not
+    the last one ends on a rescaling step, and at most max(4096, G) points
+    are held.
     """
-    G = thetas.size
-    m = RESCALE_EVERY
-    while m > 1 and m * G > _BATCH:
-        m //= 2
+    m = sl2._chunk_steps(thetas.size)
     for j0 in range(0, n, m):
         js = np.arange(j0, min(j0 + m, n))
         vals = c.fiber(_frac(thetas + js[:, None] * c.alpha))
@@ -180,7 +158,7 @@ def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     log_scale = np.zeros(G)
     j = 0
     for vals in _grid_chunks(c, thetas, n):
-        acc = _mul(_chunk_product(vals), acc)
+        acc = sl2._mul(sl2._chunk_product(vals), acc)
         j += vals.shape[2]
         if j % RESCALE_EVERY == 0:
             s = np.max(np.abs(acc), axis=(0, 1))
@@ -215,7 +193,7 @@ def lyapunov_det_drift(c: QpCocycle, n: int) -> float:
         if pad:
             eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, pad, 64))
             vals = np.concatenate([vals, eye], axis=2)
-        p = _chunk_product(vals.reshape(2, 2, -1, 4, 64).swapaxes(2, 3))
+        p = sl2._chunk_product(vals.reshape(2, 2, -1, 4, 64).swapaxes(2, 3))
         drift += np.sum(np.abs(np.log(np.abs(sl2.det2(np.moveaxis(p, (0, 1), (-2, -1)))))), axis=0)
     return float(np.max(drift))
 
@@ -230,7 +208,7 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
     whose error grows like k eps, below that of exponentials of 2 pi k s.
     """
     A = c.series
-    steps = _frac(c.alpha * np.arange(min(_BATCH, n)))
+    steps = _frac(c.alpha * np.arange(min(sl2._BATCH, n)))
     if A is not None:
         ks = A.ks()
         z = np.exp(2j * np.pi * steps)
@@ -239,8 +217,8 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
         del pos
         cols = A.coeffs.reshape(4, -1).T
     th = theta0
-    for j in range(0, n, _BATCH):
-        m = min(_BATCH, n - j)
+    for j in range(0, n, sl2._BATCH):
+        m = min(sl2._BATCH, n - j)
         thetas = _frac(th + steps[:m])
         if A is None:
             mats = c.fiber(thetas)

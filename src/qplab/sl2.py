@@ -4,6 +4,12 @@ Everything here operates on arrays of shape (..., 2, 2) so that grids of
 matrices can be processed without Python loops.  The exp/log routines use the
 closed forms available for traceless 2x2 matrices (X^2 = -det(X) * I), which
 is both faster and more accurate than general-purpose expm/logm.
+
+The one transfer-product kernel (`_mul`, `_chunk_product`, `_chunk_steps`)
+works instead on the entry-major layout (2, 2, ...): a product over P points
+takes its steps in chunks (2, 2, m, P) of m = `_chunk_steps(P)` steps and
+multiplies each chunk by pairwise reduction, entrywise on contiguous arrays.
+`cocycle._transfer_grid` and `spectra.Discriminant.block` both run on it.
 """
 
 from __future__ import annotations
@@ -46,6 +52,40 @@ def schrodinger_fiber(v, E) -> np.ndarray:
     out[..., 0, 1] = -1.0
     out[..., 1, 0] = 1.0
     return out
+
+
+_BATCH = 4096  # most matrices a chunked product holds at once
+_CHUNK = 32  # most steps of one chunk
+
+
+def _chunk_steps(P: int) -> int:
+    """Steps per chunk of a product over P points.
+
+    The largest power of two m <= 32 with m P <= 4096, or 1, so a chunk holds
+    at most max(4096, P) matrices.
+    """
+    m = _CHUNK
+    while m > 1 and m * P > _BATCH:
+        m //= 2
+    return m
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product a b of 2x2 stacks in entry-major layout, shape (2, 2, ...)."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
+def _chunk_product(vals: np.ndarray) -> np.ndarray:
+    """vals[:, :, k-1] ... vals[:, :, 0] for entry-major stacks (2, 2, k, ...), by pairwise reduction.
+
+    Neighbouring steps are multiplied in pairs, ceil(log2 k) calls in all; an
+    odd step out is carried to the next level, so the order is kept.
+    """
+    while vals.shape[2] > 1:
+        h = vals.shape[2] // 2
+        prod = _mul(vals[:, :, 1:2 * h:2], vals[:, :, 0:2 * h:2])
+        vals = prod if vals.shape[2] == 2 * h else np.concatenate([prod, vals[:, :, 2 * h:]], axis=2)
+    return vals[:, :, 0]
 
 
 def det2(m: np.ndarray) -> np.ndarray:

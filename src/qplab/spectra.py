@@ -3,12 +3,18 @@ sets, the intersection/union spectra, the integrated density of states, and
 interval-set distances.
 
 The discriminant t_{p/q}(E, theta) is the trace of the period-q transfer
-block; |t| <= 2 cuts out the q bands.  By Floquet theory t = 2 cos k exactly
-at the eigenvalues of the q x q periodic (k = 0) and antiperiodic (k = pi)
-Jacobi matrices, so the 2q band edges are the sorted union of two symmetric
-eigenvalue spectra, one batched solve for a whole stack of phases.  Two edges
-of a gap closer than the solver's resolution, about q eps (2 + max|V|), are
-one tangency (a closed gap).  From the edges E_k^-(theta) <= E_k^+(theta) on
+block; |t| <= 2 cuts out the q bands.  The block runs on the transfer-product
+kernel of `sl2` that `cocycle._transfer_grid` also uses: V at the q shifted
+phases comes from one product of a phase matrix with a shift matrix per chunk
+of steps, and each chunk of fibers is multiplied by pairwise reduction, not
+step by step, so traces agree with a sequential product to rounding.
+
+By Floquet theory t = 2 cos k exactly at the eigenvalues of the q x q
+periodic (k = 0) and antiperiodic (k = pi) Jacobi matrices, so the 2q band
+edges are the sorted union of two symmetric eigenvalue spectra, one batched
+solve for both matrices of a whole stack of phases.  Two edges of a gap
+closer than the solver's resolution, about q eps (2 + max|V|), are one
+tangency (a closed gap).  From the edges E_k^-(theta) <= E_k^+(theta) on
 a phase grid, S_- is the union of the nonempty [max E_k^-, min E_k^+] and S_+
 that of the moving bands [min E_k^-, max E_k^+].  For almost Mathieu,
 Chambers' formula t = a_{q,0}(E) +- 2 lam^q cos 2 pi q theta makes S_-
@@ -24,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import sl2
 from .sl2 import frob, schrodinger_fiber
 from .udspace import FourierSeries
 
@@ -156,14 +163,35 @@ class Discriminant:
         return np.real(self.V(np.mod(th, 1.0)))
 
     def block(self, E, theta) -> np.ndarray:
-        """Ordered product over s = q-1 .. 0 of the fibers at theta + s p/q."""
+        """The q-step block A(theta + (q-1) p/q) ... A(theta), shape broadcast(E, theta) + (2, 2).
+
+        V at theta + s p/q is one product per chunk of steps: the phase
+        matrix Vhat_k e^{2 pi i k theta} (modes x theta points) times the
+        shift matrix e^{2 pi i k (s p mod q)/q} (steps x modes).  The fibers
+        come in entry-major chunks (2, 2, m, ...) of m = sl2._chunk_steps(P)
+        steps for P points, so at most max(4096, P) are held; each chunk is
+        multiplied by pairwise reduction and then onto the running product.
+        The product order differs from a step-by-step product, so results
+        agree with it to rounding, not bit for bit.
+        """
         E = np.asarray(E, dtype=float)
         th = np.asarray(theta, dtype=float)
         shape = np.broadcast_shapes(E.shape, th.shape)
-        acc = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-        for s in range(self.q):
-            acc = schrodinger_fiber(self._vfun(np.broadcast_to(th + s * self.p / self.q, shape)), E) @ acc
-        return acc
+        th = (th - np.floor(th)).reshape((1,) * (len(shape) - th.ndim) + th.shape)
+        ks = self.V.ks()
+        phase = self.V.coeffs[:, None] * np.exp(2j * np.pi * np.outer(ks, th))
+        shifts = np.arange(self.q) * self.p % self.q / self.q
+        m = sl2._chunk_steps(math.prod(shape))
+        fib = np.zeros((2, 2, m) + shape)
+        fib[0, 1], fib[1, 0] = -1.0, 1.0
+        acc = np.zeros((2, 2) + shape)
+        acc[0, 0] = acc[1, 1] = 1.0
+        for s0 in range(0, self.q, m):
+            s = shifts[s0:s0 + m]
+            v = np.real(np.exp(2j * np.pi * np.outer(s, ks)) @ phase).reshape(s.shape + th.shape)
+            fib[0, 0, :s.size] = E - v
+            acc = sl2._mul(sl2._chunk_product(fib[:, :, :s.size]), acc)
+        return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def value(self, E, theta) -> np.ndarray:
         b = self.block(E, theta)
@@ -286,21 +314,20 @@ def _floquet_edges(V: FourierSeries, p: int, q: int, thetas) -> np.ndarray:
     matrix with diagonal V(theta + n p/q), 1 on the off-diagonals and corner
     entries e^{ik}: the periodic (k = 0) matrix gives the edges at t = 2, the
     antiperiodic (k = pi) one those at t = -2.  Adding the corners in place
-    covers q = 1 and 2.  The eigensolver is accurate to about
-    q eps (2 + max|V|), so the two edges of a gap closer than
+    covers q = 1 and 2.  Both matrices of every phase go to one eigvalsh
+    call on a (2, len(thetas), q, q) stack.  The eigensolver is accurate to
+    about q eps (2 + max|V|), so the two edges of a gap closer than
     _RESOLUTION_FACTOR times that are one tangency and both take their
     midpoint.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     v = Discriminant(V, p, q)._vfun(th[:, None] + np.arange(q) * p / q)
-    H = np.broadcast_to(np.eye(q, k=1) + np.eye(q, k=-1), v.shape + (q,)).copy()
-    H[:, np.arange(q), np.arange(q)] = v
-    eigs = []
-    for corner in (1.0, -1.0):
-        Hk = H.copy()
-        Hk[:, 0, q - 1] += corner
-        Hk[:, q - 1, 0] += corner
-        eigs.append(np.linalg.eigvalsh(Hk))
+    H = np.broadcast_to(np.eye(q, k=1) + np.eye(q, k=-1), (2,) + v.shape + (q,)).copy()
+    H[:, :, np.arange(q), np.arange(q)] = v
+    corner = np.array([1.0, -1.0])[:, None]
+    H[:, :, 0, q - 1] += corner
+    H[:, :, q - 1, 0] += corner
+    eigs = np.linalg.eigvalsh(H)
     edges = np.sort(np.concatenate(eigs, axis=1), axis=1)
     tol = _RESOLUTION_FACTOR * q * np.finfo(float).eps * (2.0 + float(np.max(np.abs(v))))
     lo, hi = edges[:, 1:-1:2], edges[:, 2::2]
@@ -367,8 +394,9 @@ def amo_s_minus_closed_form(lam: float, q: int, p: int = 1) -> BandSet:
     t(E, theta) = a_{q,0}(E) +- 2 lam^q cos 2 pi q theta, so max_theta |t| <= 2
     exactly where |t| <= 2 at both theta = 0 and theta = 1/(2q).
     """
-    V = FourierSeries.cosine(2.0 * lam)
-    return band_set(V, p, q, 0.0).intersect(band_set(V, p, q, 0.5 / q))
+    at0, at_half = (BandSet(list(zip(e[0::2], e[1::2])))
+                    for e in _floquet_edges(FourierSeries.cosine(2.0 * lam), p, q, [0.0, 0.5 / q]))
+    return at0.intersect(at_half)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,28 @@ def test_norms_follow_the_modulus(tmp_path):
         assert a[:2] == b[:2] and a[2] != b[2] and a[3] != b[3]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["norms", "--modulus", "gevrey", "--modulus-param", "0"], "gevrey needs nu in (0, 1]"),
+    (["norms", "--modulus", "analytic", "--modulus-param", "5"], "takes no --modulus-param"),
+    (["fejer", "--K", "5000", "--p", "9"], "fejer needs 1 <= K <= 1000 and 1 <= p <= 4"),
+], ids=["gevrey-zero", "analytic-with-param", "fejer-out-of-range"])
+def test_settings_out_of_range_exit_1(argv, message, tmp_path, capsys):
+    # an explicit setting is never replaced by a default or clamped
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_modulus_param_defaults_to_the_class_parameter(tmp_path):
+    for kind, param in (("gevrey", "0.7"), ("power", "3.0")):
+        assert main(["norms", "--modulus", kind, "--out-dir", str(tmp_path / kind)]) == 0
+        assert main(["norms", "--modulus", kind, "--modulus-param", param,
+                     "--out-dir", str(tmp_path / param)]) == 0
+        assert ((tmp_path / kind / "norms.csv").read_bytes()
+                == (tmp_path / param / "norms.csv").read_bytes())
+
+
 def test_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QPLAB_OUT", str(tmp_path))
     assert main(["fejer", "--K", "4", "--p", "1"]) == 0

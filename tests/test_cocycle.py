@@ -362,17 +362,28 @@ def test_frac_matches_np_mod():
     assert np.array_equal(_frac(xs).view(np.uint64), np.mod(xs, 1.0).view(np.uint64))
 
 
+@pytest.mark.parametrize("P", [1, 64, 100, 128, 600, 1000, 1664, 4352])
+def test_chunk_steps_rule(P, monkeypatch):
+    """m is the largest power of two dividing RESCALE_EVERY with m P <= 4096, or 1;
+    the discriminant block takes its chunks by it as `_grid_chunks` does."""
+    m = sl2._chunk_steps(P)
+    assert RESCALE_EVERY % m == 0 and m & (m - 1) == 0
+    assert m * P <= 4096 or m == 1
+    assert m == RESCALE_EVERY or 2 * m * P > 4096
+    seen, product = [], sl2._chunk_product
+    monkeypatch.setattr(sl2, "_chunk_product", lambda v: seen.append(v.shape) or product(v))
+    spectra.Discriminant(FourierSeries.cosine(1.0), 43, 70).block(0.3, np.arange(P) / P)
+    assert seen == [(2, 2, m, P)] * (70 // m) + ([(2, 2, 70 % m, P)] if 70 % m else [])
+
+
 @pytest.mark.parametrize("G", [1, 64, 100, 128, 600, 1000, 1664, 4352])
 def test_grid_chunks_end_on_rescaling_steps(G):
-    """Chunks hold m steps, m a power of two dividing RESCALE_EVERY with m G <= 4096 unless m = 1."""
+    """Chunks hold sl2._chunk_steps(G) steps, so each ends on a rescaling step."""
     c = amo(3.0, 0.5, GOLDEN)
     th = np.arange(G) / G
     n = 70
     chunks = list(_grid_chunks(c, th, n))
-    m = chunks[0].shape[2]
-    assert RESCALE_EVERY % m == 0 and m & (m - 1) == 0
-    assert m * G <= 4096 or m == 1
-    assert m == RESCALE_EVERY or 2 * m * G > 4096  # the largest such m
+    m = sl2._chunk_steps(G)
     assert [v.shape[2] for v in chunks] == [m] * (n // m) + ([n % m] if n % m else [])
     for k, v in enumerate(chunks):
         assert v.shape == (2, 2, v.shape[2], G) and v.flags.c_contiguous

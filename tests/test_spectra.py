@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,10 @@ from qplab.spectra import (
     BandSet,
     Discriminant,
     ResolutionWarning,
+    _RESOLUTION_FACTOR,
+    _floquet_edges,
     _moving_bands,
+    _phases,
     amo_s_minus_closed_form,
     band_edges,
     band_set,
@@ -20,6 +27,7 @@ from qplab.spectra import (
     s_sets,
     set_distance,
 )
+from qplab.sl2 import frob, schrodinger_fiber
 from qplab.udspace import FourierSeries
 
 V0 = FourierSeries.zero(1)
@@ -270,7 +278,30 @@ def _ref_band_edges(V, p, q, theta, grid_per_band=64, refine=2, touch_tol=1e-8):
     return sorted(edges)
 
 
+def _ref_fibers(d, E, theta):
+    """A(theta + s p/q) for s = 0..q-1, each from its own evaluation of V."""
+    E, th = np.asarray(E, dtype=float), np.asarray(theta, dtype=float)
+    for s in range(d.q):
+        yield schrodinger_fiber(np.real(d.V(np.mod(th + s * d.p / d.q, 1.0))), E)
+
+
+def _ref_block(d, E, theta):
+    """The step-by-step product of the fibers, s = 0 first."""
+    acc = np.eye(2)
+    for a in _ref_fibers(d, E, theta):
+        acc = a @ acc
+    return acc
+
+
+def _ref_value(d, E, theta):
+    b = _ref_block(d, E, theta)
+    return b[..., 0, 0] + b[..., 1, 1]
+
+
 def _ref_s_sets(V, p, q, theta_grid_size=64, scan_per_band=64):
+    # the step-by-step trace: at lam = 0.5 and 0.9, p/q = 3/8, E = 0 is an exact
+    # S_+ tangency, where min_theta |t| reads 2 in this order and 2 + 4.4e-16 in
+    # the pairwise one of `Discriminant.block`, and the scan splits an interval
     d = Discriminant(V, p, q)
     lo, hi = e_window(V)
     ths = np.arange(theta_grid_size) / (theta_grid_size * q)
@@ -278,7 +309,7 @@ def _ref_s_sets(V, p, q, theta_grid_size=64, scan_per_band=64):
     out = {}
     for name, red in (("S_minus", np.max), ("S_plus", np.min)):
         def crit(e):
-            return float(red(np.abs(d.value(np.asarray(e), ths)))) - 2.0
+            return float(red(np.abs(_ref_value(d, np.asarray(e), ths)))) - 2.0
 
         Es = np.linspace(lo, hi, npts + 1)
         vals = np.array([crit(e) for e in Es])
@@ -357,15 +388,20 @@ def test_supercritical_s_minus_empty_and_s_plus_moving_bands():
         assert 1 <= ss["S_plus"].count() <= q
 
 
-def test_grid_s_minus_lies_in_sigma_for_a_high_degree_potential():
-    # a grid maximum never exceeds the true one, so grid S_- contains the true
-    # S_-; with too few phases for the degree-40 t(E, .) it pokes out of some
-    # sigma(theta), by up to 2.4e-4 at 64 phases (q = 5) and 8.2e-7 at 704
+def _ud_potential():
+    """Seeded real series of degree 40, |Vhat_k| ~ e^{-|k|^0.5}, l1 norm 1."""
     rng = np.random.default_rng(0)
     k = np.arange(-40, 41)
     c = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size)) * np.exp(-np.abs(k) ** 0.5)
     c = (c + np.conj(c[::-1])) / 2.0
-    V = FourierSeries(c / np.sum(np.abs(c)), True)
+    return FourierSeries(c / np.sum(np.abs(c)), True)
+
+
+def test_grid_s_minus_lies_in_sigma_for_a_high_degree_potential():
+    # a grid maximum never exceeds the true one, so grid S_- contains the true
+    # S_-; with too few phases for the degree-40 t(E, .) it pokes out of some
+    # sigma(theta), by up to 2.4e-4 at 64 phases (q = 5) and 8.2e-7 at 704
+    V = _ud_potential()
     thetas = np.random.default_rng(1).uniform(size=400)
     for p, q in ((3, 5), (5, 8), (8, 13)):
         sm = s_sets(V, p, q)["S_minus"]
@@ -426,3 +462,69 @@ def test_chambers_amplitude_large_q(p, q):
     lam = 0.9
     dev = chambers_deviation(VAM(lam), p, q, 0.0)
     assert abs(dev / (2.0 * lam**q) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("V", [VAM(0.5), VAM(0.9), VAM(1.5), _ud_potential()],
+                         ids=["amo0.5", "amo0.9", "amo1.5", "ud40"])
+def test_block_matches_sequential_product(V):
+    # each point is bounded by the rounding of a product of q fibers,
+    # 10 q eps prod_s ||A(theta + s p/q)||_F (measured: at most 3.5 q eps times
+    # the product); ||T_q|| gives no bound, since partial products can outgrow
+    # T_q by far: at lam = 1.5, q = 233 the two orders differ by up to
+    # 510 q eps max_theta ||T_q||_F on the phase grid of `chambers_deviation`
+    ths = 0.37 * np.arange(64) / 64
+    Es = np.linspace(-3.0, 3.0, 9)
+    # scalar E, scalar theta, 2-D broadcast, and 65 x 64 > 4096 points (one step per chunk)
+    grids = [(0.3, ths), (Es, 0.11), (Es[:, None], ths), (np.linspace(-3.0, 3.0, 65)[:, None], ths)]
+    for p, q in ((0, 1), (1, 2), (2, 3), (19, 31), (13, 32), (20, 33), (89, 144), (144, 233)):
+        d = Discriminant(V, p, q)
+        for E, th in grids:
+            new, ref = d.block(E, th), _ref_block(d, E, th)
+            assert new.shape == ref.shape == np.broadcast_shapes(np.shape(E), np.shape(th)) + (2, 2)
+            log_prod = sum(np.log(frob(a)) for a in _ref_fibers(d, E, th))
+            bound = 10.0 * q * np.finfo(float).eps * np.exp(log_prod)
+            assert np.all(frob(new - ref) <= bound), (p, q)
+
+
+def _ref_floquet_edges(V, p, q, thetas):
+    """The band edges from one eigenvalue solve per corner sign."""
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    v = np.real(V(np.mod(th[:, None] + np.arange(q) * p / q, 1.0)))
+    H = np.broadcast_to(np.eye(q, k=1) + np.eye(q, k=-1), v.shape + (q,)).copy()
+    H[:, np.arange(q), np.arange(q)] = v
+    eigs = []
+    for corner in (1.0, -1.0):
+        Hk = H.copy()
+        Hk[:, 0, q - 1] += corner
+        Hk[:, q - 1, 0] += corner
+        eigs.append(np.linalg.eigvalsh(Hk))
+    edges = np.sort(np.concatenate(eigs, axis=1), axis=1)
+    tol = _RESOLUTION_FACTOR * q * np.finfo(float).eps * (2.0 + float(np.max(np.abs(v))))
+    lo, hi = edges[:, 1:-1:2], edges[:, 2::2]
+    shut = hi - lo <= tol
+    lo[shut] = hi[shut] = (lo[shut] + hi[shut]) / 2.0
+    return edges
+
+
+@pytest.mark.parametrize("V", [VAM(0.5), VAM(1.5), _ud_potential()],
+                         ids=["amo0.5", "amo1.5", "ud40"])
+def test_floquet_edges_in_one_solve_match_two(V):
+    for p, q in ((0, 1), (1, 2), (5, 8), (13, 21)):
+        th = _phases(V, q)
+        assert np.array_equal(_floquet_edges(V, p, q, th), _ref_floquet_edges(V, p, q, th))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9])
+def test_closed_form_is_the_intersection_of_two_spectra(lam):
+    for p, q in _golden(3, 34):
+        two = band_set(VAM(lam), p, q, 0.0).intersect(band_set(VAM(lam), p, q, 0.5 / q))
+        assert amo_s_minus_closed_form(lam, q, p).intervals == two.intervals
+
+
+def test_spectra_imports_neither_cocycle_nor_mpmath():
+    code = ("import sys, qplab.spectra; "
+            "print(sorted({'mpmath', 'qplab.cocycle'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
