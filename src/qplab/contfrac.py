@@ -6,6 +6,11 @@ with mpmath at a configurable working precision.  Convergent denominators
 are exact python ints throughout, so they can grow to thousands of digits;
 the products beta_n are kept both as floats and in log domain because they
 underflow quickly.
+
+mpmath is imported on first use, by the float/decimal branch of `expand`,
+`CfExpansion.alpha_mp`, `norm_dist`, the best-approximation check and
+`check_diophantine`; symbolic and rational expansions and the bridge
+selection never load it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
+import numpy as np
 
-from .sl2 import pow_geq, pow_leq, safe_log_int
+from .sl2 import pow_geq, pow_geq_chain, pow_leq, safe_log_int, safe_log_ints
 
 SYMBOLIC = ("golden", "sqrt2m1")
 
@@ -60,6 +65,8 @@ class CfExpansion:
     def alpha_mp(self, prec: int = 256):
         if self._alpha_mp is not None:
             return self._alpha_mp
+        import mpmath as mp
+
         with mp.workprec(prec):
             if self.label == "golden":
                 return (mp.sqrt(5) - 1) / 2
@@ -69,14 +76,16 @@ class CfExpansion:
 
     def norm_dist(self, k: int) -> float:
         """||k*alpha||_Z at 256-bit precision."""
+        import mpmath as mp
+
         with mp.workprec(256):
             x = mp.frac(k * self.alpha_mp(256))
             return float(min(x, 1 - x))
 
     def log_q(self) -> list:
-        """[log q_k], computed once: the bridge search and its certificate share it."""
+        """[log q_k], computed once: the bridge search, its certificate and kam share it."""
         if self._log_q is None:
-            self._log_q = [safe_log_int(qi) for qi in self.q]
+            self._log_q = safe_log_ints(self.q)
         return self._log_q
 
     def to_json(self) -> str:
@@ -120,6 +129,8 @@ class CfExpansion:
 
     def _check_best_approx(self, upto: int, q_cap: int) -> bool:
         """||k alpha|| >= ||q_{n-1} alpha|| for 1 <= k < q_n, exhaustively."""
+        import mpmath as mp
+
         with mp.workprec(320):
             am = self.alpha_mp(320)
             ok = True
@@ -181,7 +192,11 @@ def _expand_symbolic(label: str, n_max: int) -> CfExpansion:
     else:
         raise ValueError(f"unknown symbolic frequency {label!r}")
     a = [0] + [quot] * n_max
-    p, q = _convergents(a)
+    # with every a_k equal, p_k = q_{k-1}: p shares q's ints instead of repeating the recurrence
+    q = [1, quot]
+    for _ in range(n_max - 1):
+        q.append(quot * q[-1] + q[-2])
+    p = [0] + q[:-1]
     # all Gauss-map tails equal alpha itself, so beta_n = alpha^(n+1) exactly
     log_tail = math.log1p(-1 + tail) if label != "golden" else math.log((math.sqrt(5) - 1) / 2)
     log_beta = [(n + 1) * log_tail for n in range(len(q))]
@@ -206,10 +221,12 @@ def expand(alpha, n_max: int = 40, prec: int = 256) -> CfExpansion:
             return _expand_symbolic(tok, n_max)
         if "/" in tok:
             return _expand_rational(Fraction(tok), n_max)
-        alpha = mp.mpf(alpha)
     if isinstance(alpha, Fraction):
         return _expand_rational(alpha, n_max)
+    import mpmath as mp
 
+    if isinstance(alpha, str):
+        alpha = mp.mpf(alpha)  # a decimal string, read at mpmath's default precision
     with mp.workprec(max(prec, 256)):
         x = mp.mpf(alpha)
         if not 0 < x < 1:
@@ -257,10 +274,8 @@ def is_cd_bridge(cf: CfExpansion, m: int, n: int, A: float, B: float, C: float) 
     if not (0 <= m <= n < len(cf.q)):
         raise IndexError(f"bridge indices ({m},{n}) outside computed range")
     q, lq = cf.q, cf.log_q()
-    for i in range(m, n):
-        if not pow_geq(q[i], A, q[i + 1], (lq[i], lq[i + 1])):
-            return False
-    return pow_leq(q[m], B, q[n], (lq[m], lq[n])) and pow_geq(q[m], C, q[n], (lq[m], lq[n]))
+    return (pow_geq_chain(q, A, lq, m, n) and pow_leq(q[m], B, q[n], (lq[m], lq[n]))
+            and pow_geq(q[m], C, q[n], (lq[m], lq[n])))
 
 
 @dataclass
@@ -288,7 +303,8 @@ class BridgeSelection:
         return len(self.idx)
 
     def log_Qbar(self) -> list:
-        return [safe_log_int(v) for v in self.Qbar]
+        lq = self.cf.log_q()
+        return [lq[i + 1] for i in self.idx]
 
     def check_invariants(self) -> dict:
         """Re-verify every claimed bridge and growth bound after the fact.
@@ -360,7 +376,9 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     after m.  Each step finds these ranges by bisection and the next
     route-1 index in a sorted list, and skips rejected indices one by
     one, so a step costs O(log n) predicate calls instead of a rescan of
-    the expansion; the O(n) set-up of log q and the certificate dominate.
+    the expansion.  The O(n) set-up (log q, the chain breaks and the
+    route-1 indices) and the certificate's chain walks (`pow_geq_chain`)
+    are numpy passes over the cached logs.
     Correctness is certified by `BridgeSelection.check_invariants`, not by
     construction.
     """
@@ -373,18 +391,17 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     lq = cf.log_q()
     tol = 1e-9
 
-    def route1(i):  # q_{i+1} >= q_i^A
-        return lq[i + 1] >= A * lq[i] - tol
+    logs = np.array(lq)
+    Alq, lq_next = A * logs[:-1], logs[1:]  # at i = 0 .. last
+    route1 = lq_next >= Alq - tol  # q_{i+1} >= q_i^A
+    route1_at = np.flatnonzero(route1).tolist() + [last + 1]
+    # chain breaks, not q_{i+1} <= q_i^A, and the first one at or after i
+    breaks = np.flatnonzero(~(lq_next <= Alq + tol * np.maximum(1.0, Alq))).tolist() + [last + 1]
 
-    def chain_ok(i):  # q_{i+1} <= q_i^A
-        return lq[i + 1] <= A * lq[i] + tol * max(1.0, A * lq[i])
+    def nxt_break(i):
+        return breaks[bisect.bisect_left(breaks, i)]
 
-    # first chain break at or after i
-    nxt_break = [last + 1] * (last + 2)
-    for i in range(last, -1, -1):
-        nxt_break[i] = i if not chain_ok(i) else nxt_break[i + 1]
-
-    # CD(A, A, A^3) in log domain: bridge(m, n) holds iff m <= n <= nxt_break[m],
+    # CD(A, A, A^3) in log domain: bridge(m, n) holds iff m <= n <= nxt_break(m),
     # reaches(m, n) and within(m, n), both monotone in n because lq is nondecreasing
     def reaches(m, n):
         return A * lq[m] - tol <= lq[n] + tol
@@ -396,16 +413,14 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
         return bisect.bisect_left(range(lo, hi), True, key=pred) + lo
 
     def window(m):  # [lo, hi) with bridge(m, n) iff lo <= n < hi
-        end = nxt_break[m] + 1
+        end = nxt_break(m) + 1
         lo = first(m, end, lambda n: reaches(m, n))
         return lo, max(lo, first(m, end, lambda n: not within(m, n)))
 
     def over_cap(cur, m):  # growth cap, monotone in m
         return lq[m] > (A**4) * lq[cur + 1] + tol * max(1.0, (A**4) * lq[cur + 1])
 
-    route1_at = [i for i in range(last + 1) if route1(i)] + [last + 1]
-
-    n0 = max(i for i in range(last + 1) if q[i] == 1)
+    n0 = bisect.bisect_right(q, 1, 0, last + 1) - 1  # the last q = 1; q is nondecreasing
     idx = [n0]
     owes = [False]  # level k chose route 2 and still owes its forward bridge
     tried: list[set] = [set()]
@@ -445,7 +460,7 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
                 continue
             break
         idx.append(found)
-        owes.append(not route1(found))
+        owes.append(not route1[found])
         tried.append(set())
 
     sel = BridgeSelection(cf, A, best, exhausted=True)
@@ -475,6 +490,8 @@ def check_diophantine(
         raise ValueError("K must be >= 1")
     worst_k, worst_margin = None, math.inf
     holds = True
+    import mpmath as mp
+
     with mp.workprec(256):
         am = cf.alpha_mp(256)
         if mode == "frequency":

@@ -338,7 +338,7 @@ def schedule(
         2.0 * tau * math.log(4.0 / gamma),
     )
     lqb = sel.log_Qbar()
-    lq = [sl2.safe_log_int(v) for v in sel.Q]
+    lq = [sel.cf.log_q()[i] for i in sel.idx]
     n0 = None
     m0 = None
     for k in range(len(lq)):

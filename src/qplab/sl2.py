@@ -14,6 +14,7 @@ multiplies each chunk by pairwise reduction, entrywise on contiguous arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -216,15 +217,35 @@ def sl2_expm1(x: np.ndarray) -> np.ndarray:
     return chm1[..., None, None] * IDENT + sc[..., None, None] * x
 
 
+_LN2 = math.log(2.0)
+# `_pow_cmp` counts base**expo and bound as tied when their logs differ by at most this, relatively
+_TIE = 1e-12
+
+
+def safe_log_ints(ns) -> list:
+    """[log n for n in ns] for positive python ints of arbitrary size.
+
+    Ints over 512 bits are cut to their top 53 bits first.  One loop for a
+    whole list, so long lists of big ints pay no per-entry call; a
+    non-positive entry raises math.log's ValueError.
+    """
+    out = []
+    for n in ns:
+        bits = n.bit_length()
+        out.append(math.log(n) if bits <= 512 else math.log(n >> (bits - 53)) + (bits - 53) * _LN2)
+    return out
+
+
 def safe_log_int(n: int) -> float:
-    """log of a positive python int of arbitrary size."""
+    """log of a positive python int of arbitrary size, by `safe_log_ints`."""
     if n <= 0:
         raise ValueError("safe_log_int needs a positive integer")
-    bits = n.bit_length()
-    if bits <= 512:
-        return math.log(n)
-    shift = bits - 53
-    return math.log(n >> shift) + shift * math.log(2.0)
+    return safe_log_ints((n,))[0]
+
+
+def _exact_pow(base: int, expo: float) -> bool:
+    """`_pow_cmp` compares base**expo with exact integer powers (for base > 1)."""
+    return float(expo).is_integer() and expo <= 64 and base.bit_length() * expo <= 4096
 
 
 def _pow_cmp(base: int, expo: float, bound: int, logs=None) -> int:
@@ -239,12 +260,12 @@ def _pow_cmp(base: int, expo: float, bound: int, logs=None) -> int:
         raise ValueError("positive integers required")
     if base == 1:
         return 0 if bound == 1 else -1
-    if float(expo).is_integer() and expo <= 64 and base.bit_length() * expo <= 4096:
+    if _exact_pow(base, expo):
         val = base ** int(expo)
         return (val > bound) - (val < bound)
     log_base, rhs = logs or (safe_log_int(base), safe_log_int(bound))
     lhs = expo * log_base
-    if abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)):
+    if abs(lhs - rhs) <= _TIE * max(1.0, abs(rhs)):
         return 0
     return 1 if lhs > rhs else -1
 
@@ -257,3 +278,19 @@ def pow_leq(base: int, expo: float, bound: int, logs=None) -> bool:
 def pow_geq(base: int, expo: float, bound: int, logs=None) -> bool:
     """base**expo >= bound (boundary ties count as equal)."""
     return _pow_cmp(base, expo, bound, logs=logs) >= 0
+
+
+def pow_geq_chain(q: list, expo: float, logs: list, lo: int, hi: int) -> bool:
+    """pow_geq(q[i], expo, q[i + 1]) for every lo <= i < hi, decided as `_pow_cmp` decides it.
+
+    q is a nondecreasing list of positive ints, logs[i] = safe_log_int(q[i]),
+    and expo > 0.  The indices where `_pow_cmp` compares exact integer powers
+    (q[i] = 1, or `_exact_pow`) are then a prefix; they go through `pow_geq`
+    one by one.  The rest take `_pow_cmp`'s log rule, its `_TIE` test in the
+    same IEEE operations, in one numpy comparison.
+    """
+    exact = bisect.bisect_left(q, True, lo, hi, key=lambda b: not (b == 1 or _exact_pow(b, expo)))
+    if not all(pow_geq(q[i], expo, q[i + 1], (logs[i], logs[i + 1])) for i in range(lo, exact)):
+        return False
+    lhs, rhs = expo * np.array(logs[exact:hi]), np.array(logs[exact + 1:hi + 1])
+    return bool(np.all((lhs > rhs) | (np.abs(lhs - rhs) <= _TIE * np.maximum(1.0, np.abs(rhs)))))

@@ -1,3 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,3 +31,12 @@ def random_real_series(rng, K, amp=1.0, decay=1.0):
 
     c = rng.normal(size=2 * K + 1) * np.exp(-decay * np.abs(np.arange(-K, K + 1))) + 0j
     return FourierSeries(amp * (c + np.conj(c[::-1])) / 2.0, True)
+
+
+def fresh_modules(code: str, names) -> list:
+    """The `names` found in sys.modules after `code` runs in a fresh interpreter."""
+    probe = f"{code}\nimport sys; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from conftest import fresh_modules
 from qplab.cli import main
 from qplab.spectra import ResolutionWarning
 
@@ -129,3 +130,10 @@ def test_fast_determinism(argv, tmp_path):
     for f1 in sorted(d1.iterdir()):
         f2 = d2 / f1.name
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_cli_and_kam_step_do_not_load_mpmath(tmp_path):
+    assert fresh_modules("import qplab.cli", {"mpmath"}) == []
+    argv = ["kam-step", "--eps", "1e-3", "--out-dir", str(tmp_path)]
+    assert fresh_modules(f"from qplab.cli import main; assert main({argv!r}) == 0", {"mpmath"}) == []
+    assert (tmp_path / "kam_step.jsonl").is_file()

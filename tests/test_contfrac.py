@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fresh_modules
 from test_acceptance import _random_alpha
 from qplab.contfrac import (
     BridgeSelection,
     PrecisionExhausted,
     SelectionFailed,
+    _convergents,
     check_diophantine,
     expand,
     is_cd_bridge,
     select_bridges,
 )
-from qplab.sl2 import pow_geq, pow_leq
+from qplab.sl2 import pow_geq, pow_geq_chain, pow_leq, safe_log_int, safe_log_ints
 
 
 def test_golden_fibonacci():
@@ -36,6 +38,33 @@ def test_rational_reproduces_itself():
     assert e.p[-1] == 5 and e.q[-1] == 7
     assert e.rational
     assert e.beta[-1] == 0.0
+
+
+@pytest.mark.parametrize("label", ["golden", "sqrt2m1"])
+@pytest.mark.parametrize("depth", [1, 2, 25000])
+def test_symbolic_p_shares_the_q_list(label, depth):
+    e = expand(label, depth)
+    assert (e.p, e.q) == _convergents(e.a)
+    assert all(e.p[k] is e.q[k - 1] for k in range(1, len(e.q)))  # shared, not a copy
+    assert e.log_q() == [safe_log_int(v) for v in e.q]
+
+
+def test_safe_log_ints_is_safe_log_int_per_entry():
+    # both sides of the 512-bit cut, and q lists that are not symbolic
+    ns = [1, 2, 3] + [(1 << b) + d for b in (52, 53, 511, 512, 513, 4000) for d in (-1, 0, 1)]
+    ns += expand("1/7919", 40).q + expand(_random_alpha(np.random.default_rng(3)), 100, prec=400).q
+    got = safe_log_ints(ns)
+    assert got == [safe_log_int(n) for n in ns]
+    assert all(abs(g - math.log(n)) <= 1e-15 * max(1.0, math.log(n)) for g, n in zip(got, ns))
+    with pytest.raises(ValueError):
+        safe_log_ints([3, 0])
+
+
+def test_decimal_expansion_and_dioph_load_mpmath(tmp_path):
+    assert fresh_modules('from qplab.contfrac import expand; expand("0.37281911", 20)',
+                         {"mpmath"}) == ["mpmath"]
+    argv = ["dioph", "--alpha", "golden", "--K", "50", "--out-dir", str(tmp_path)]
+    assert fresh_modules(f"from qplab.cli import main; main({argv!r})", {"mpmath"}) == ["mpmath"]
 
 
 def test_expand_deterministic():
@@ -184,6 +213,42 @@ def test_select_bridges_matches_linear_scan(A):
                 select_bridges(cf, A)
             continue
         assert select_bridges(cf, A).idx == want
+
+
+def _chain_cases(A):
+    """q lists for the chain check: both symbolic ones deep, 30 random alpha, and near ties.
+
+    A near tie is q = [1, x, y'] with x = 2^j, so that y = x^A is an integer,
+    and y' within a relative 3e-14 of y: exact powers and the log rule's
+    1e-12 tie can decide it differently.  For integer A, x = 2^b and 2^(b-1)
+    sit on both sides of the end of the exact-power prefix, b = 4096 // A.
+    """
+    cfs = [expand("golden", 25000), expand("sqrt2m1", 25000)]
+    rng = np.random.default_rng(19)
+    cfs += [expand(_random_alpha(rng), 100, prec=400) for _ in range(30)]
+    qs = [cf.q for cf in cfs]
+    edge = [4096 // A - 1, 4096 // A] if float(A).is_integer() else []
+    for j in [2, 40, 200, 2000, 3000] + edge:
+        x, y = 2**j, 2 ** int(j * A)
+        qs += [[1, x, near] for near in (y, y + 1, y - 1, y + (y >> 45), y - (y >> 45))]
+    return qs
+
+
+@pytest.mark.parametrize("A", [25, 5, 2, 2.5])
+def test_chain_check_matches_pow_geq_loop(A):
+    for q in _chain_cases(A):
+        logs = [safe_log_int(v) for v in q]
+        ref = [pow_geq(q[i], A, q[i + 1]) for i in range(len(q) - 1)]
+        # first index past sl2._pow_cmp's exact-power prefix
+        exact = next((i for i in range(len(q)) if not (
+            q[i] == 1 or (float(A).is_integer() and q[i].bit_length() * A <= 4096))), len(q))
+        breaks = [i for i, ok in enumerate(ref) if not ok]
+        points = {0, 1, 2, exact - 1, exact, exact + 1, len(q) // 2, len(q) - 2, len(q) - 1}
+        points |= {j for i in breaks[:6] + breaks[-6:] for j in (i, i + 1)}
+        points = sorted(i for i in points if 0 <= i < len(q))
+        for m in points:
+            for n in points[points.index(m):]:
+                assert pow_geq_chain(q, A, logs, m, n) == all(ref[m:n]), (m, n)
 
 
 def _check_invariants_plain(sel):

@@ -1,13 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fresh_modules
 from qplab.spectra import (
     BandIndexAmbiguous,
     BandSet,
@@ -522,9 +519,4 @@ def test_closed_form_is_the_intersection_of_two_spectra(lam):
 
 
 def test_spectra_imports_neither_cocycle_nor_mpmath():
-    code = ("import sys, qplab.spectra; "
-            "print(sorted({'mpmath', 'qplab.cocycle'} & set(sys.modules)))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    assert fresh_modules("import qplab.spectra", {"mpmath", "qplab.cocycle"}) == []
