@@ -10,7 +10,8 @@ The rotation number reads each projective step through a lift of the fiber
 that is continuous in theta: the angle of A(theta) e_1, unwrapped on a
 reference grid, which `QpCocycle.winding` certifies to close up.  Orbits
 evaluate the fiber in blocks of at most 4096 points rather than one step at
-a time.
+a time; a series fiber reads each block off one shared phase block of at
+most 2^16 entries (up to 1024 modes), and a real one sums over k >= 0 only.
 
 Grid products (`_transfer_grid`, `lyapunov_det_drift`) run on the chunked
 pairwise kernel of `sl2`: the fiber comes in entry-major chunks (2, 2, m, G)
@@ -34,6 +35,7 @@ from .udspace import FourierSeries
 RESCALE_EVERY = sl2._CHUNK  # every chunk length divides it
 _LIFT_GRID = 256  # reference grid of the e_1 lift that winding() certifies
 _CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
+_PHASE_ENTRIES = 1 << 16  # most entries of the shared phase block of a series orbit (1 MB)
 
 
 class WindingError(Exception):
@@ -201,29 +203,52 @@ def lyapunov_det_drift(c: QpCocycle, n: int) -> float:
 def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
     """Fibers along the orbit theta0 + j alpha, j = 0..n-1, in blocks of at most 4096 points.
 
-    Yields (thetas, mats).  A series fiber takes each block as one product of
-    a shared phase block e^{2 pi i k (i alpha mod 1)} with the block's start
-    phases e^{2 pi i k theta}, instead of an exponential per point and mode.
-    The phase block holds the powers z^k of z = e^{2 pi i (i alpha mod 1)},
-    whose error grows like k eps, below that of exponentials of 2 pi k s.
+    Yields (thetas, mats).  A block is cut into sub-blocks of R points:
+    point r of sub-block i sits at theta = (t_i + s_r) mod 1, where
+    s_r = r alpha mod 1 and t_i = (block start + (i R alpha mod 1)) mod 1,
+    so the thetas carry the bits the phases below are built from.  A
+    closure fiber takes R = 4096 and is called at those thetas.  A series
+    fiber takes each block as one product phase @ C instead of an
+    exponential per point and mode: the shared phase block holds the powers
+    z_r^k of z_r = e^{2 pi i s_r}, from one running product whose error
+    grows like k eps, and C the coefficients times the start phases
+    e^{2 pi i k t_i}.  R is the largest power of two up to 4096 with R
+    times the number of modes at most _PHASE_ENTRIES, but at least 64, so
+    up to 1024 modes the phase block takes at most 1 MB whatever K is.  A
+    real series sums over k >= 0 only, with d_0 = c_0 and
+    d_k = c_k + conj(c_{-k}): for |w| = 1, Re sum_k c_k w^k equals
+    Re sum_{k>=0} d_k w^k for any coefficients.
     """
     A = c.series
     steps = _frac(c.alpha * np.arange(min(sl2._BATCH, n)))
+    R = sl2._BATCH
     if A is not None:
-        ks = A.ks()
-        z = np.exp(2j * np.pi * steps)
-        pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, A.K)), axis=1)
-        phase = np.concatenate([np.conj(pos[:, ::-1]), np.ones((z.size, 1)), pos], axis=1)
-        del pos
+        K = A.K
         cols = A.coeffs.reshape(4, -1).T
+        if A.real_flag:
+            cols = np.concatenate([cols[K:K + 1], cols[K + 1:] + np.conj(cols[:K][::-1])])
+        ks = np.arange(0 if A.real_flag else -K, K + 1)
+        while R > 64 and R * ks.size > _PHASE_ENTRIES:
+            R //= 2
+        z = np.exp(2j * np.pi * steps[:R])
+        pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, K)), axis=1)
+        neg = [] if A.real_flag else [np.conj(pos[:, ::-1])]
+        phase = np.concatenate(neg + [np.ones((z.size, 1)), pos], axis=1)
+        del pos
+    starts, sub = steps[::R], steps[:R]
     th = theta0
     for j in range(0, n, sl2._BATCH):
         m = min(sl2._BATCH, n - j)
-        thetas = _frac(th + steps[:m])
+        t = _frac(th + starts[:-(-m // R)])
+        thetas = _frac(t[:, None] + sub[:m]).ravel()[:m]
         if A is None:
             mats = c.fiber(thetas)
         else:
-            vals = (phase[:m] @ (np.exp(2j * np.pi * ks * th)[:, None] * cols)).reshape(m, 2, 2)
+            # C[k, i, entry]: coefficient times start phase of sub-block i
+            C = np.exp(2j * np.pi * np.outer(ks, t))[:, :, None] * cols[:, None, :]
+            vals = phase @ C.reshape(ks.size, -1)
+            del C  # not held while the next block builds its own
+            vals = vals.reshape(len(sub), -1, 4).swapaxes(0, 1).reshape(-1, 2, 2)[:m]
             mats = np.real(vals) if A.real_flag else vals
         yield thetas, mats
         th = (th + c.alpha * m) % 1.0

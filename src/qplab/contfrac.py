@@ -374,9 +374,12 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     cap is a prefix of the indices and the bridges (q_m, q_n) from a fixed
     m are one contiguous window of n, cut off at the first chain break
     after m.  Each step finds these ranges by bisection and the next
-    route-1 index in a sorted list, and skips rejected indices one by
-    one, so a step costs O(log n) predicate calls instead of a rescan of
-    the expansion.  The O(n) set-up (log q, the chain breaks and the
+    route-1 index in a sorted list.  A level always extends with its
+    smallest candidate not yet rejected there, so the indices it rejects
+    are a prefix of its candidates, and one pointer per level, past the
+    last index it rejected, stands for them all.  So a step costs O(log n)
+    predicate calls instead of a rescan of the expansion, however often
+    its level was retried.  The O(n) set-up (log q, the chain breaks and the
     route-1 indices) and the certificate's chain walks (`pow_geq_chain`)
     are numpy passes over the cached logs.
     Correctness is certified by `BridgeSelection.check_invariants`, not by
@@ -423,30 +426,24 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
     n0 = bisect.bisect_right(q, 1, 0, last + 1) - 1  # the last q = 1; q is nondecreasing
     idx = [n0]
     owes = [False]  # level k chose route 2 and still owes its forward bridge
-    tried: list[set] = [set()]
+    untried = [0]  # level k rejected every candidate below untried[k]
     best: list = list(idx)
     pops = 0
     while pops < 200:
         k = len(idx) - 1
         cur = idx[k]
-        lo, hi = cur + 1, first(cur + 1, last + 1, lambda m: over_cap(cur, m))
+        lo, hi = max(cur + 1, untried[k]), first(cur + 1, last + 1, lambda m: over_cap(cur, m))
         if owes[k]:
             b_lo, b_hi = window(cur)
             lo, hi = max(lo, b_lo), min(hi, b_hi)
         found = None
         if lo < hi:
             w_lo, w_hi = window(cur + 1)
-            m = lo
-            while m < hi:
-                nxt = route1_at[bisect.bisect_left(route1_at, m)]
-                if max(m, w_lo) < w_hi:
-                    nxt = min(nxt, max(m, w_lo))
-                if nxt >= hi:
-                    break
-                if nxt not in tried[k]:
-                    found = nxt
-                    break
-                m = nxt + 1
+            nxt = route1_at[bisect.bisect_left(route1_at, lo)]
+            if max(lo, w_lo) < w_hi:
+                nxt = min(nxt, max(lo, w_lo))
+            if nxt < hi:
+                found = nxt
         if found is None:
             if len(idx) > len(best):
                 best = list(idx)  # longest selection so far; tail may stay pending
@@ -454,14 +451,14 @@ def select_bridges(cf: CfExpansion, A: float = 25.0) -> BridgeSelection:
                 # a shorter Q_k might leave room for its forward bridge in range
                 bad = idx.pop()
                 owes.pop()
-                tried.pop()
-                tried[-1].add(bad)
+                untried.pop()
+                untried[-1] = bad + 1
                 pops += 1
                 continue
             break
         idx.append(found)
         owes.append(not route1[found])
-        tried.append(set())
+        untried.append(0)
 
     sel = BridgeSelection(cf, A, best, exhausted=True)
     if not sel.all_ok():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,15 +290,64 @@ def test_rotation_number_rejects_unresolved_lift():
     assert issubclass(LiftResolutionError, WindingError)
 
 
-@pytest.mark.parametrize("K", [34, 200])
-def test_orbit_fibers_match_point_evaluation(rng, K):
+def _orbit_series(rng, K, kind="real"):
+    """A traceless 2x2 series of bandwidth K with undamped modes.
+
+    kind "real" is a real map, fhat(-k) = conj(fhat(k)); "complex" gives the
+    coefficients random phases, and "re" is the real part of that series.
+    """
     x, y, z = (random_real_series(rng, K, amp=0.3, decay=0.0) for _ in range(3))
     A = MatSeries.from_entries(x, y + z, y - z, x * (-1.0))
+    if kind == "real":
+        return A
+    return MatSeries(A.coeffs * np.exp(2j * np.pi * rng.random(A.coeffs.shape)), kind == "re")
+
+
+@pytest.mark.parametrize("K,kind", [pytest.param(K, "real", id=str(K)) for K in (34, 200, 1500)]
+                         + [(200, "re"), (200, "complex")])
+def test_orbit_fibers_match_point_evaluation(rng, K, kind):
+    A = _orbit_series(rng, K, kind)
     c = QpCocycle.from_series(GOLDEN, A)
     blocks = list(_orbit_fibers(c, 0.37, 9000))
     assert [len(th) for th, _ in blocks] == [4096, 4096, 808]
     for th, mats in blocks:
+        assert np.iscomplexobj(mats) == (kind == "complex")
         assert np.max(np.abs(mats - A(th))) <= 1e-12 * A.l1()
+
+
+def test_closure_orbit_fibers_keep_their_bits():
+    """A closure fiber sees the thetas (th + (j alpha mod 1)) mod 1 of the block start th, bit for bit."""
+    c = amo(1.5, 0.3, GOLDEN)
+    for theta0, n in ((0.0, 9000), (0.37, 5000), (0.0, 100)):
+        steps = _frac(GOLDEN * np.arange(min(4096, n)))
+        blocks = list(_orbit_fibers(c, theta0, n))
+        assert len(blocks) == -(-n // 4096)
+        th = theta0
+        for j, (thetas, mats) in zip(range(0, n, 4096), blocks):
+            want = _frac(th + steps[:min(4096, n - j)])
+            assert np.array_equal(thetas, want) and np.array_equal(mats, c.fiber(want))
+            th = (th + GOLDEN * len(want)) % 1.0
+
+
+@pytest.mark.parametrize("K,kind,bound_mib", [(200, "real", 4), (200, "complex", 4), (1500, "real", 12)])
+def test_orbit_fibers_memory_is_capped(rng, K, kind, bound_mib):
+    """Peak allocation while draining a series orbit of three blocks.
+
+    Up to K = 1023 for a real series (511 for a complex one) the shared
+    phase block holds at most 2^16 entries, 1 MB; a 4096 x (2K + 1) block
+    took 52 MB at K = 200 and 393 MB at K = 1500.  Past that bandwidth the
+    block stays at its floor of 64 rows, so it and the right factor of the
+    product (modes x 256 entries) grow with K, hence the larger bound.
+    """
+    c = QpCocycle.from_series(GOLDEN, _orbit_series(rng, K, kind))
+    tracemalloc.start()
+    try:
+        for _ in _orbit_fibers(c, 0.37, 9000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak
 
 
 def _ln_norms(mats, log_scale):

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -213,6 +214,92 @@ def test_select_bridges_matches_linear_scan(A):
                 select_bridges(cf, A)
             continue
         assert select_bridges(cf, A).idx == want
+
+
+def _select_bridges_skip_loop(cf, A):
+    """Reference: the bisecting search that keeps a set of rejected indices per level.
+
+    Each retry walks the candidates of its level from the start and skips
+    the rejected ones one by one.  Returns (idx, pops).
+    """
+    q = cf.q
+    last = len(q) - 2
+    lq = cf.log_q()
+    tol = 1e-9
+    logs = np.array(lq)
+    Alq, lq_next = A * logs[:-1], logs[1:]
+    route1 = lq_next >= Alq - tol
+    route1_at = np.flatnonzero(route1).tolist() + [last + 1]
+    breaks = np.flatnonzero(~(lq_next <= Alq + tol * np.maximum(1.0, Alq))).tolist() + [last + 1]
+
+    def first(lo, hi, pred):
+        return bisect.bisect_left(range(lo, hi), True, key=pred) + lo
+
+    def window(m):
+        end = breaks[bisect.bisect_left(breaks, m)] + 1
+        cap = A**3 * lq[m] + tol * max(1.0, A**3 * lq[m])
+        lo = first(m, end, lambda n: A * lq[m] - tol <= lq[n] + tol)
+        return lo, max(lo, first(m, end, lambda n: not lq[n] <= cap))
+
+    def over_cap(cur, m):
+        return lq[m] > (A**4) * lq[cur + 1] + tol * max(1.0, (A**4) * lq[cur + 1])
+
+    idx = [bisect.bisect_right(q, 1, 0, last + 1) - 1]
+    owes, tried, best, pops = [False], [set()], list(idx), 0
+    while pops < 200:
+        k = len(idx) - 1
+        cur = idx[k]
+        lo, hi = cur + 1, first(cur + 1, last + 1, lambda m: over_cap(cur, m))
+        if owes[k]:
+            b_lo, b_hi = window(cur)
+            lo, hi = max(lo, b_lo), min(hi, b_hi)
+        found = None
+        if lo < hi:
+            w_lo, w_hi = window(cur + 1)
+            m = lo
+            while m < hi:
+                nxt = route1_at[bisect.bisect_left(route1_at, m)]
+                if max(m, w_lo) < w_hi:
+                    nxt = min(nxt, max(m, w_lo))
+                if nxt >= hi:
+                    break
+                if nxt not in tried[k]:
+                    found = nxt
+                    break
+                m = nxt + 1
+        if found is None:
+            if len(idx) > len(best):
+                best = list(idx)
+            if owes[k] and len(idx) > 1:
+                bad = idx.pop()
+                owes.pop()
+                tried.pop()
+                tried[-1].add(bad)
+                pops += 1
+                continue
+            break
+        idx.append(found)
+        owes.append(not route1[found])
+        tried.append(set())
+    return best, pops
+
+
+@pytest.mark.parametrize("A", [25.0, 5.0, 2.0])
+def test_select_bridges_matches_skip_loop(A):
+    """The per-level pointer past the rejected prefix picks what the skip loop picks.
+
+    The random alpha at depth 100 pop between 22 and 200 times at A = 25
+    and hit the 200-pop limit at A = 5 and 2.
+    """
+    rng = np.random.default_rng(22)
+    cfs = [expand("golden", 25000), expand("sqrt2m1", 25000)]
+    cfs += [expand(_random_alpha(rng), 100, prec=400) for _ in range(12)]
+    pops = []
+    for cf in cfs:
+        want, n = _select_bridges_skip_loop(cf, A)
+        assert select_bridges(cf, A).idx == want
+        pops.append(n)
+    assert min(pops[2:]) > 0 and max(pops) == 200, pops
 
 
 def _chain_cases(A):
