@@ -11,8 +11,10 @@ copy.  Pair i = 0 .. 9 runs
 
 on both sides for every workload of BENCHMARK.json, the parent first in even
 pairs and the change first in odd ones, one run at a time.  Each --trace
-workload then gets one traced run (--trace 1, seed 100*PR+11) per side.  The
-seeds follow from PR, so each record has seeds of its own.  Quartiles
+workload then gets 3 traced pairs (--trace 1, seeds 100*PR+11 .. 100*PR+13),
+alternating alike, and each side records the median of every traced metric
+over its 3 runs.  The seeds follow from PR, so each record has seeds of its
+own.  Quartiles
 are numpy's linear 25th and 75th percentiles; change_wins counts the pairs
 where the change reads better, ties counting for neither; median_gap is how
 much better the change's median is.  A claim holds when the change wins at
@@ -40,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10
 WINS_NEEDED = 9  # of PAIRS, for a claimed gain
+TRACE_PAIRS = 3  # traced pairs per --trace workload; one traced run cannot resolve a per-layer change
 
 
 def unpack_parent(rev: str, dest: Path) -> None:
@@ -68,6 +71,24 @@ def bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     rec["metrics"] = {k: v["value"] for k, v in rec["metrics"].items()}
     return rec
+
+
+def alternate(dirs: dict, workload: str, seeds: list, trace: bool) -> dict:
+    """side -> runs, one pair per seed, the parent first in even pairs and the change first in odd ones."""
+    runs = {s: [] for s in SIDES}
+    for i, seed in enumerate(seeds):
+        for s in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[s].append(bench(dirs[s], workload, seed, trace))
+            print(f"{workload} seed {seed} {s}{' traced' if trace else ''}: "
+                  f"{runs[s][-1].get('metrics', runs[s][-1])}", file=sys.stderr, flush=True)
+    return runs
+
+
+def median_metrics(runs: list) -> dict:
+    """Per metric, the median over the runs that report it."""
+    names = sorted({k for r in runs for k in r.get("metrics", {})})
+    return {k: round(float(np.median([r["metrics"][k] for r in runs if k in r.get("metrics", {})])), 6)
+            for k in names}
 
 
 def quartiles(xs: list) -> dict:
@@ -107,7 +128,8 @@ def main() -> int:
     ap.add_argument("parent", help="git revision of the parent commit")
     ap.add_argument("pr", type=int, help="N of the BENCH_<N>.json to write; its seeds are 100*N+1 ..")
     ap.add_argument("--claim", default=None, help="WORKLOAD/METRIC the change claims to improve")
-    ap.add_argument("--trace", nargs="*", default=[], help="workloads to trace once per side")
+    ap.add_argument("--trace", nargs="*", default=[],
+                    help=f"workloads to trace in {TRACE_PAIRS} alternating pairs")
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -128,12 +150,7 @@ def main() -> int:
         unpack_parent(args.parent, dirs["parent"])
         copy_worktree(dirs["change"])
         for w in [entry["name"] for entry in spec["workloads"]]:
-            runs = {s: [] for s in SIDES}
-            for i, seed in enumerate(seeds):
-                for s in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[s].append(bench(dirs[s], w, seed, trace=False))
-                    print(f"{w} seed {seed} {s}: {runs[s][-1].get('metrics', runs[s][-1])}",
-                          file=sys.stderr, flush=True)
+            runs = alternate(dirs, w, seeds, trace=False)
             record["workloads"][w] = {
                 "pairs": PAIRS,
                 "seeds": seeds,
@@ -144,10 +161,13 @@ def main() -> int:
                 "all_correct": all(r.get("correct", False) for s in SIDES for r in runs[s]),
                 "metrics": summarize(runs, spec),
             }
-        if args.trace:
-            seed = 100 * args.pr + 1 + PAIRS
-            record["trace"] = {w: {"seed": seed, **{s: bench(dirs[s], w, seed, trace=True).get(
-                "metrics") for s in SIDES}} for w in args.trace}
+        trace_seeds = [100 * args.pr + 1 + PAIRS + i for i in range(TRACE_PAIRS)]
+        for w in args.trace:
+            runs = alternate(dirs, w, trace_seeds, trace=True)
+            record.setdefault("trace", {})[w] = {
+                "pairs": TRACE_PAIRS, "seeds": trace_seeds, "statistic": "median per metric",
+                "run_errors": {s: [r["error"] for r in runs[s] if "error" in r] for s in SIDES},
+                **{s: median_metrics(runs[s]) for s in SIDES}}
     if args.claim:
         w, m = args.claim.split("/", 1)
         got = record["workloads"][w]["metrics"][m]

@@ -29,7 +29,13 @@ def main() -> int:
     cf = contfrac.expand(args.alpha, args.levels + 6)
     M = Modulus(args.modulus, args.modulus_param)
     V = FourierSeries.cosine(2 * args.lam)
-    conv = [(cf.q[i], cf.p[i]) for i in range(1, len(cf.q)) if cf.q[i] >= 3][: args.levels]
+    conv = []
+    for i in range(1, cf.depth() + 1):
+        if len(conv) == args.levels:
+            break
+        p, q = cf.convergent(i)
+        if q >= 3:
+            conv.append((q, p))
     print("q,deviation,two_lam_pow_q,exp_neg_lambda_q34")
     for q, p in conv:
         dev = spectra.chambers_deviation(V, p, q, args.E)

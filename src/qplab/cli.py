@@ -103,8 +103,15 @@ def _modulus(modulus: str, modulus_param) -> Modulus:
 
 
 def _fib_convergents(cf, levels: int, q_min: int = 3):
-    order = [(cf.q[i], cf.p[i], i) for i in range(1, len(cf.q)) if cf.q[i] >= q_min]
-    return order[:levels]
+    """(q_i, p_i, i) for the first `levels` indices i >= 1 with q_i >= q_min."""
+    order = []
+    for i in range(1, cf.depth() + 1):
+        if len(order) == levels:
+            break
+        p, q = cf.convergent(i)
+        if q >= q_min:
+            order.append((q, p, i))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +201,34 @@ def _deep_bridges(alpha: str):
     return e, contfrac.select_bridges(e, 25.0)
 
 
+def _exp_bandwidth(F: FourierSeries) -> int:
+    """Smallest multiple m K of F's bandwidth K, m >= 3, beyond which e^F has mass under 1e-13.
+
+    1e-13 is the default tail guard of `FourierSeries.exp_map`.  F is a 2x2
+    series.  With f_k the entrywise l1 norm of its k-th coefficient, which is
+    submultiplicative on 2x2 matrices, the k-th coefficient of F^n / n! has
+    entrywise l1 norm at most (f^{*n})_k / n!.  So the mass of e^F beyond
+    |k| = N is at most that of sum_n f^{*n} / n! there.  The sum stops once
+    s^n / n! (s = sum f) is under 1e-15, so n > s, and its remainder, at most
+    s^(n+1) / (n+1)! / (1 - s / (n+2)), counts against every N.  The guard,
+    which compares the mass with 1e-13 times a total near 2, still decides.
+    """
+    tail_tol = 1e-13
+    f = np.sum(np.abs(F.coeffs), axis=(0, 1))
+    s = float(np.sum(f))
+    n, term, mass = 0, np.ones(1), np.zeros(1)  # term = f^{*n} / n!, mass = sum of the terms
+    while s**n / math.factorial(n) >= tail_tol / 100:
+        n += 1
+        term = np.convolve(term, f) / n
+        mass = np.pad(mass, F.K) + term
+    rest = s ** (n + 1) / math.factorial(n + 1) / (1.0 - s / (n + 2))
+    Kn, m = n * F.K, 3
+    while m * F.K < Kn and (np.sum(mass[:Kn - m * F.K]) + np.sum(mass[Kn + m * F.K + 1:])
+                            + rest > tail_tol):
+        m += 1
+    return m * F.K
+
+
 def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> list:
     """Ledger of the driver from R_rho e^F, F a seeded sl(2,R) perturbation of size eps."""
     M = _modulus(modulus, modulus_param)
@@ -208,7 +243,8 @@ def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> l
     x, y, z = (small_real(eps) for _ in range(3))
     F = FourierSeries.from_entries(x, y + z, y - z, x * (-1.0))
     R = rotation_series(FourierSeries.constant(rho), out_K=2)
-    A0 = R.mat_mul(F.exp_map(out_K=3 * K0), out_K=3 * K0 + 4, tail_tol=None)
+    K_exp = _exp_bandwidth(F)  # 3 K0 at eps = 1e-3
+    A0 = R.mat_mul(F.exp_map(out_K=K_exp), out_K=K_exp + 4, tail_tol=None)
     out = kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps, gamma=gamma,
                                          tau=tau)
     return out["ledger"]

@@ -50,6 +50,10 @@ class LiftResolutionError(WindingError):
     """
 
 
+class RenormOverflow(ArithmeticError):
+    """A renormalization iterate, or a side of its commutation identity, is not finite in float64."""
+
+
 @dataclass
 class QpCocycle:
     """(alpha, A): base rotation by alpha, fiber A(theta) in SL(2,R).
@@ -358,22 +362,34 @@ def renorm_iterates(c: QpCocycle, cf: CfExpansion, n: int, theta_star: float = 0
         def a(x):
             pts = theta_star + beta * (np.atleast_1d(np.asarray(x, dtype=float)) - theta_star)
             mats, log_scale = _transfer_grid(c, pts, steps)
-            return mats * np.exp(log_scale)[:, None, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = mats * np.exp(log_scale)[:, None, None]
+            if not np.all(np.isfinite(out)):
+                raise RenormOverflow(f"level {n}: the {steps}-step iterate exceeds float64 "
+                                     f"(log scale up to {np.max(log_scale):.1f})")
+            return out
 
         return a
 
-    return {"A_n0": iterate(sgn0 * cf.q[n - 1]), "A_n1": iterate(-sgn0 * cf.q[n]),
-            "alpha_n": alpha_n, "period": 1.0 / beta}
+    q_prev, q_n = cf.convergent(n - 1)[1], cf.convergent(n)[1]
+    return {"A_n0": iterate(sgn0 * q_prev), "A_n1": iterate(-sgn0 * q_n),
+            "alpha_n": alpha_n, "period": 1.0 / beta, "level": n}
 
 
 def commutation_residual(it: dict, xs: np.ndarray) -> float:
     """Relative residual of A1(x+1) A0(x) - A0(x+alpha_n) A1(x) on sample points."""
     a0, a1, an = it["A_n0"], it["A_n1"], it["alpha_n"]
-    lhs = a1(xs + 1.0) @ a0(xs)
-    rhs = a0(xs + an) @ a1(xs)
-    num = np.max(sl2.frob(lhs - rhs))
-    den = max(np.max(sl2.frob(lhs)), 1.0)
-    return float(num / den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = a1(xs + 1.0) @ a0(xs)
+        rhs = a0(xs + an) @ a1(xs)
+        num = np.max(sl2.frob(lhs - rhs))
+        den = max(np.max(sl2.frob(lhs)), 1.0)
+        res = float(num / den)
+    # finite only if both sides and their Frobenius norms are
+    if not math.isfinite(res):
+        raise RenormOverflow(f"level {it['level']}: the commutation identity's sides or their "
+                             "norms exceed float64")
+    return res
 
 
 def cocycle_property_residual(c: QpCocycle, theta: float, m: int, n: int) -> float:

@@ -8,6 +8,7 @@ values, envelopes, or pass/fail against caller-supplied scale constants.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -410,9 +411,13 @@ def induction_sequences(cf: CfExpansion, scales: LdtScales, s_max: int,
     """
     g = scales.gamma
     c = scales.c_ldt
-    qs = cf.q
-    start = next((i for i, v in enumerate(qs) if v >= q0_min), None)
-    if start is None:
+    # searched by bisection in the nondecreasing log q, then read as exact ints; past the
+    # held prefix `cf.convergent` raises contfrac.ExactPrefixExceeded
+    lq = cf.log_q()
+    start = bisect.bisect_left(lq, safe_log_int(max(q0_min, 1)))
+    while start <= cf.depth() and cf.convergent(start)[1] < q0_min:
+        start += 1  # a log tie below q0_min
+    if start > cf.depth():
         raise CfExhausted("no convergent reaches the requested starting scale", deepest=-1)
 
     def mult(qt: int) -> int:
@@ -421,7 +426,7 @@ def induction_sequences(cf: CfExpansion, scales: LdtScales, s_max: int,
         return int(math.floor(frac)) + 1
 
     terms = []
-    qt = qs[start]
+    qt = cf.convergent(start)[1]
     m0 = mult(qt)
     logN = safe_log_int(qt) + math.log(m0)
     terms.append(
@@ -441,9 +446,10 @@ def induction_sequences(cf: CfExpansion, scales: LdtScales, s_max: int,
         expo = (g / 2.0) * ln_qt
         # the threshold for q_tilde_{s+1} is exp(qt^(gamma/2)); compare logs
         thr_ln = math.exp(expo) if expo < 700 else math.inf
-        nxt = next((v for v in qs if safe_log_int(v) > thr_ln), None)
-        if nxt is None:
+        i = bisect.bisect_right(lq, thr_ln)
+        if i > cf.depth():
             return {"terms": terms, "exhausted_at": s, "deepest": s - 1}
+        nxt = cf.convergent(i)[1]
         m = mult(nxt)
         ln_m = safe_log_int(nxt) + math.log(m)
         e4 = (g / 4.0) * ln_qt

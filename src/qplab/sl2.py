@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -243,24 +244,34 @@ def safe_log_int(n: int) -> float:
     return safe_log_ints((n,))[0]
 
 
+# most bits of an exact integer power `_pow_cmp` forms; `contfrac.CfExpansion` holds exact
+# convergents up to the same size, so every comparison that takes the exact route has its ints
+EXACT_BITS = 4096
+
+
 def _exact_pow(base: int, expo: float) -> bool:
     """`_pow_cmp` compares base**expo with exact integer powers (for base > 1)."""
-    return float(expo).is_integer() and expo <= 64 and base.bit_length() * expo <= 4096
+    return float(expo).is_integer() and expo <= 64 and base.bit_length() * expo <= EXACT_BITS
 
 
-def _pow_cmp(base: int, expo: float, bound: int, logs=None) -> int:
+def _pow_cmp(base: Optional[int], expo: float, bound: Optional[int], logs=None) -> int:
     """Sign of base**expo - bound for positive ints; 0 when numerically tied.
 
     Exact integer arithmetic is used when `expo` is a small integer, so the
     boundary cases that show up in tests (e.g. 2**3 vs 8) are decided exactly.
     `logs` = (safe_log_int(base), safe_log_int(bound)), when the caller
-    already holds them, saves recomputing the logs of large ints.
+    already holds them, saves recomputing the logs of large ints.  `None`
+    for base or bound stands for an int of more than EXACT_BITS bits known
+    only by its log, which `logs` must then give.  Such a bound exceeds
+    every exact power, base**expo < 2**EXACT_BITS, so the decision needs no int.
     """
-    if base <= 0 or bound <= 0:
+    if (base is not None and base <= 0) or (bound is not None and bound <= 0):
         raise ValueError("positive integers required")
     if base == 1:
         return 0 if bound == 1 else -1
-    if _exact_pow(base, expo):
+    if base is not None and _exact_pow(base, expo):
+        if bound is None:
+            return -1
         val = base ** int(expo)
         return (val > bound) - (val < bound)
     log_base, rhs = logs or (safe_log_int(base), safe_log_int(bound))
@@ -270,12 +281,12 @@ def _pow_cmp(base: int, expo: float, bound: int, logs=None) -> int:
     return 1 if lhs > rhs else -1
 
 
-def pow_leq(base: int, expo: float, bound: int, logs=None) -> bool:
+def pow_leq(base: Optional[int], expo: float, bound: Optional[int], logs=None) -> bool:
     """base**expo <= bound (boundary ties count as equal)."""
     return _pow_cmp(base, expo, bound, logs=logs) <= 0
 
 
-def pow_geq(base: int, expo: float, bound: int, logs=None) -> bool:
+def pow_geq(base: Optional[int], expo: float, bound: Optional[int], logs=None) -> bool:
     """base**expo >= bound (boundary ties count as equal)."""
     return _pow_cmp(base, expo, bound, logs=logs) >= 0
 
@@ -283,14 +294,18 @@ def pow_geq(base: int, expo: float, bound: int, logs=None) -> bool:
 def pow_geq_chain(q: list, expo: float, logs: list, lo: int, hi: int) -> bool:
     """pow_geq(q[i], expo, q[i + 1]) for every lo <= i < hi, decided as `_pow_cmp` decides it.
 
-    q is a nondecreasing list of positive ints, logs[i] = safe_log_int(q[i]),
-    and expo > 0.  The indices where `_pow_cmp` compares exact integer powers
-    (q[i] = 1, or `_exact_pow`) are then a prefix; they go through `pow_geq`
-    one by one.  The rest take `_pow_cmp`'s log rule, its `_TIE` test in the
-    same IEEE operations, in one numpy comparison.
+    logs[i] = safe_log_int(q_i) for a nondecreasing sequence of positive ints
+    q_i, and expo > 0.  The list q holds q_i while it has at most EXACT_BITS
+    bits, a prefix of the indices.  The indices where `_pow_cmp` compares
+    exact integer powers (q_i = 1, or `_exact_pow`) are then a prefix of
+    that prefix; they go through `pow_geq` one by one.  The rest take
+    `_pow_cmp`'s log rule, its `_TIE` test in the same IEEE operations, in
+    one numpy comparison.
     """
-    exact = bisect.bisect_left(q, True, lo, hi, key=lambda b: not (b == 1 or _exact_pow(b, expo)))
-    if not all(pow_geq(q[i], expo, q[i + 1], (logs[i], logs[i + 1])) for i in range(lo, exact)):
+    exact = bisect.bisect_left(q, True, lo, max(lo, min(hi, len(q))),
+                               key=lambda b: not (b == 1 or _exact_pow(b, expo)))
+    if not all(pow_geq(q[i], expo, q[i + 1] if i + 1 < len(q) else None, (logs[i], logs[i + 1]))
+               for i in range(lo, exact)):
         return False
     lhs, rhs = expo * np.array(logs[exact:hi]), np.array(logs[exact + 1:hi + 1])
     return bool(np.all((lhs > rhs) | (np.abs(lhs - rhs) <= _TIE * np.maximum(1.0, np.abs(rhs)))))

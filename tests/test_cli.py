@@ -137,3 +137,20 @@ def test_cli_and_kam_step_do_not_load_mpmath(tmp_path):
     argv = ["kam-step", "--eps", "1e-3", "--out-dir", str(tmp_path)]
     assert fresh_modules(f"from qplab.cli import main; assert main({argv!r}) == 0", {"mpmath"}) == []
     assert (tmp_path / "kam_step.jsonl").is_file()
+
+
+@pytest.mark.parametrize("eps", ["2e-2", "5e-2"])
+def test_kam_step_gets_past_setup_at_larger_eps(eps, tmp_path):
+    """The perturbation's exponential is sized from its norm, so set-up no longer aliases.
+
+    `kam.almost_reducibility_driver` may still stop on a reason of its own (exit 2).
+    """
+    assert main(["kam-step", "--eps", eps, "--out-dir", str(tmp_path)]) in (0, 2)
+    assert (tmp_path / "kam_step.jsonl").read_text()
+
+
+def test_renorm_overflow_exits_1_and_names_it(tmp_path, capsys):
+    # at lam = 1.5 the level-14 iterates leave float64; they used to be written as nan
+    assert main(["renorm", "--levels", "18", "--lam", "1.5", "--out-dir", str(tmp_path)]) == 1
+    assert "[qplab.cocycle.RenormOverflow]: level 14" in capsys.readouterr().err
+    assert not (tmp_path / "renorm.csv").exists()

@@ -1,5 +1,8 @@
 import bisect
+import dataclasses
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fresh_modules
 from test_acceptance import _random_alpha
+from qplab import cli, ldt
 from qplab.contfrac import (
     BridgeSelection,
+    ExactPrefixExceeded,
     PrecisionExhausted,
     SelectionFailed,
     _convergents,
@@ -18,7 +23,7 @@ from qplab.contfrac import (
     is_cd_bridge,
     select_bridges,
 )
-from qplab.sl2 import pow_geq, pow_geq_chain, pow_leq, safe_log_int, safe_log_ints
+from qplab.sl2 import EXACT_BITS, pow_geq, pow_geq_chain, pow_leq, safe_log_int, safe_log_ints
 
 
 def test_golden_fibonacci():
@@ -45,9 +50,92 @@ def test_rational_reproduces_itself():
 @pytest.mark.parametrize("depth", [1, 2, 25000])
 def test_symbolic_p_shares_the_q_list(label, depth):
     e = expand(label, depth)
-    assert (e.p, e.q) == _convergents(e.a)
+    p, q = _convergents(e.a)
+    held = sum(v.bit_length() <= EXACT_BITS for v in q)
+    assert (e.p, e.q) == (p[:held], q[:held])
     assert all(e.p[k] is e.q[k - 1] for k in range(1, len(e.q)))  # shared, not a copy
-    assert e.log_q() == [safe_log_int(v) for v in e.q]
+    assert e.log_q() == [safe_log_int(v) for v in q]
+
+
+def _deep_rational():
+    """A rational whose 400 partial quotients below 10^6 take q past EXACT_BITS (7 375 bits)."""
+    a = [0] + [int(v) for v in np.random.default_rng(26).integers(2, 10**6, 400)]
+    p, q = _convergents(a)
+    return Fraction(p[-1], q[-1])
+
+
+def test_log_q_is_the_log_of_every_convergent():
+    """The streamed logs are safe_log_ints of the full exact list; p and q hold its prefix.
+
+    The symbolic expansions at depth 25 000 are covered by
+    test_symbolic_p_shares_the_q_list.
+    """
+    rng = np.random.default_rng(26)
+    cfs = [expand(_random_alpha(rng), 100, prec=400) for _ in range(12)]
+    cfs.append(expand(_deep_rational(), 1000))
+    for cf in cfs:
+        p, q = _convergents(cf.a)
+        held = sum(v.bit_length() <= EXACT_BITS for v in q)
+        assert cf.log_q() == safe_log_ints(q)
+        assert (cf.p, cf.q) == (p[:held], q[:held])
+    assert held < len(q)  # the rational runs past the prefix
+
+
+def test_deep_expansion_and_selection_stay_small():
+    """Golden to depth 25 000 and its bridge selection peak under 8 MB traced.
+
+    With every exact q_k held (29.6 MB, which p shares) the same calls
+    peaked at 32 MB.
+    """
+    expand("golden", 2)
+    tracemalloc.start()
+    try:
+        select_bridges(expand("golden", 25000), 25.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_exact_convergents_past_the_prefix_raise():
+    cf = expand("golden", 25000)
+    held = len(cf.q)
+    assert cf.q[-1].bit_length() <= EXACT_BITS < _convergents(cf.a[:held + 1])[1][-1].bit_length()
+    assert cf.convergent(held - 1) == (cf.p[-1], cf.q[-1])
+    with pytest.raises(ExactPrefixExceeded):
+        cf.convergent(held)
+    with pytest.raises(IndexError) as exc:
+        cf.convergent(cf.depth() + 1)
+    assert not isinstance(exc.value, ExactPrefixExceeded)
+    sel = select_bridges(cf, 25.0)
+    assert sel.idx[-1] >= held
+    with pytest.raises(ExactPrefixExceeded):
+        sel.Q
+    with pytest.raises(ExactPrefixExceeded):
+        ldt.induction_sequences(cf, ldt.LdtScales(), s_max=1, q0_min=1 << 5000)
+    with pytest.raises(ExactPrefixExceeded):
+        cli._fib_convergents(cf, 1, q_min=1 << 5000)
+
+
+def test_to_json_regenerates_every_convergent():
+    for cf in (expand("golden", 10), expand("golden", 6500), expand(_deep_rational(), 1000)):
+        p, q = _convergents(cf.a)
+        want = json.dumps({"a": cf.a, "p": p, "q": q, "log_beta": cf.log_beta})
+        assert cf.to_json() == want
+
+
+def test_invariants_past_the_prefix():
+    """Past the exact prefix the recurrence is checked on the logs, and a moved log fails it.
+
+    The sandwich and the beta identity hold over golden's whole prefix, to q of 4096 bits.
+    """
+    inv = expand("golden", 25000).check_invariants()
+    assert all(inv.values()), inv
+    cf = expand(_deep_rational(), 1000)
+    assert cf.check_invariants()["recurrence"]
+    k = len(cf.q) + 3
+    moved = cf.log_q()[:k] + [cf.log_q()[k] * (1 + 1e-13)] + cf.log_q()[k + 1:]
+    assert not dataclasses.replace(cf, _log_q=moved).check_invariants()["recurrence"]
 
 
 def test_safe_log_ints_is_safe_log_int_per_entry():
@@ -137,7 +225,7 @@ def test_select_bridges_deep_pinned(label, idx):
 
 def _select_bridges_linear(cf, A):
     """Reference: the greedy search with a linear scan for each next index."""
-    q = cf.q
+    q = _convergents(cf.a)[1]
     last = len(q) - 2
     if last < 0:
         raise SelectionFailed("expansion too shallow for any selection")
@@ -222,7 +310,7 @@ def _select_bridges_skip_loop(cf, A):
     Each retry walks the candidates of its level from the start and skips
     the rejected ones one by one.  Returns (idx, pops).
     """
-    q = cf.q
+    q = _convergents(cf.a)[1]
     last = len(q) - 2
     lq = cf.log_q()
     tol = 1e-9
@@ -309,22 +397,26 @@ def _chain_cases(A):
     and y' within a relative 3e-14 of y: exact powers and the log rule's
     1e-12 tie can decide it differently.  For integer A, x = 2^b and 2^(b-1)
     sit on both sides of the end of the exact-power prefix, b = 4096 // A.
+    Each x is also followed by 2^4096, the first bound past the exact prefix.
     """
     cfs = [expand("golden", 25000), expand("sqrt2m1", 25000)]
     rng = np.random.default_rng(19)
     cfs += [expand(_random_alpha(rng), 100, prec=400) for _ in range(30)]
-    qs = [cf.q for cf in cfs]
+    qs = [_convergents(cf.a)[1] for cf in cfs]
     edge = [4096 // A - 1, 4096 // A] if float(A).is_integer() else []
     for j in [2, 40, 200, 2000, 3000] + edge:
         x, y = 2**j, 2 ** int(j * A)
         qs += [[1, x, near] for near in (y, y + 1, y - 1, y + (y >> 45), y - (y >> 45))]
+        qs.append([1, x, 1 << EXACT_BITS])
     return qs
 
 
 @pytest.mark.parametrize("A", [25, 5, 2, 2.5])
 def test_chain_check_matches_pow_geq_loop(A):
+    """The chain check decides alike from every exact q and from the prefix an expansion holds."""
     for q in _chain_cases(A):
         logs = [safe_log_int(v) for v in q]
+        held = q[:sum(v.bit_length() <= EXACT_BITS for v in q)]
         ref = [pow_geq(q[i], A, q[i + 1]) for i in range(len(q) - 1)]
         # first index past sl2._pow_cmp's exact-power prefix
         exact = next((i for i in range(len(q)) if not (
@@ -336,12 +428,13 @@ def test_chain_check_matches_pow_geq_loop(A):
         for m in points:
             for n in points[points.index(m):]:
                 assert pow_geq_chain(q, A, logs, m, n) == all(ref[m:n]), (m, n)
+                assert pow_geq_chain(held, A, logs, m, n) == all(ref[m:n]), (m, n)
 
 
 def _check_invariants_plain(sel):
     """Reference: the certificate with every comparison recomputing its logs."""
     cf, A, idx = sel.cf, sel.A, sel.idx
-    q = cf.q
+    q = _convergents(cf.a)[1]
     K = len(idx) - 1
 
     def bridge(m, n):
