@@ -125,8 +125,8 @@ def cmd_cf(alpha, depth, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_dioph(alpha, depth, K, v, tau, rho, gamma, out_dir) -> int:
-    e = contfrac.expand(alpha, depth)
+def cmd_dioph(alpha, K, v, tau, rho, gamma, out_dir) -> int:
+    e = contfrac.expand(alpha, 1)
     freq = contfrac.check_diophantine(e, "frequency", K, v=v, tau=tau)
     rot = contfrac.check_diophantine(e, "rotation", K, rho=rho, gamma=gamma, tau=tau)
     out = {"frequency": freq, "rotation": rot}
@@ -148,8 +148,8 @@ def cmd_norms(modulus, modulus_param, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_lyapunov(alpha, depth, lam, E, n, grid, out_dir) -> int:
-    e = contfrac.expand(alpha, max(depth, 2))
+def cmd_lyapunov(alpha, lam, E, n, grid, out_dir) -> int:
+    e = contfrac.expand(alpha, 1)
     c = amo(lam, E, e.alpha)
     rows = []
     m = 1
@@ -160,8 +160,8 @@ def cmd_lyapunov(alpha, depth, lam, E, n, grid, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_rotnum(alpha, depth, lam, E, n, out_dir) -> int:
-    e = contfrac.expand(alpha, max(depth, 2))
+def cmd_rotnum(alpha, lam, E, n, out_dir) -> int:
+    e = contfrac.expand(alpha, 1)
     c = schrodinger(_amo_series(lam), E, e.alpha)
     out = rotation_number(c, n=n)
     rec = {"rho": out["rho"], "error_bar": out["error_bar"]}
@@ -169,8 +169,8 @@ def cmd_rotnum(alpha, depth, lam, E, n, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_renorm(alpha, depth, lam, E, levels, out_dir) -> int:
-    e = contfrac.expand(alpha, max(depth, levels + 2))
+def cmd_renorm(alpha, lam, E, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, levels + 2)
     c = amo(lam, E, e.alpha)
     rows = []
     for lvl in range(1, levels + 1):
@@ -181,8 +181,8 @@ def cmd_renorm(alpha, depth, lam, E, levels, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_cohom(alpha, depth, q, out_dir) -> int:
-    e = contfrac.expand(alpha, max(depth, 8))
+def cmd_cohom(alpha, q, out_dir) -> int:
+    e = contfrac.expand(alpha, 1)
     rng = np.random.default_rng(0)
     rows = []
     for i in range(8):
@@ -229,7 +229,7 @@ def _exp_bandwidth(F: FourierSeries) -> int:
     return m * F.K
 
 
-def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> list:
+def _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps) -> list:
     """Ledger of the driver from R_rho e^F, F a seeded sl(2,R) perturbation of size eps."""
     M = _modulus(modulus, modulus_param)
     e, sel = _deep_bridges(alpha)
@@ -245,20 +245,18 @@ def _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps) -> l
     R = rotation_series(FourierSeries.constant(rho), out_K=2)
     K_exp = _exp_bandwidth(F)  # 3 K0 at eps = 1e-3
     A0 = R.mat_mul(F.exp_map(out_K=K_exp), out_K=K_exp + 4, tail_tol=None)
-    out = kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps, gamma=gamma,
-                                         tau=tau)
-    return out["ledger"]
+    return kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps)["ledger"]
 
 
 # both exit 0 only if every level completed
-def cmd_kam_step(alpha, rho, gamma, tau, eps, modulus, modulus_param, out_dir) -> int:
-    ledger = _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, 1)
+def cmd_kam_step(alpha, rho, eps, modulus, modulus_param, out_dir) -> int:
+    ledger = _kam_ledger(alpha, rho, eps, modulus, modulus_param, 1)
     _write(out_dir, "kam_step.jsonl", kam.ledger_to_jsonl(ledger))
     return EXIT_OK if len(ledger) == 1 else EXIT_HYPOTHESIS
 
 
-def cmd_kam_run(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps, out_dir) -> int:
-    ledger = _kam_ledger(alpha, rho, gamma, tau, eps, modulus, modulus_param, steps)
+def cmd_kam_run(alpha, rho, eps, modulus, modulus_param, steps, out_dir) -> int:
+    ledger = _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps)
     _write(out_dir, "kam_run.jsonl", kam.ledger_to_jsonl(ledger))
     return EXIT_OK if len(ledger) == steps else EXIT_HYPOTHESIS
 
@@ -291,8 +289,8 @@ def cmd_ids(lam, q, p, grid, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_chambers(alpha, depth, lam, E, levels, out_dir) -> int:
-    e = contfrac.expand(alpha, max(depth, levels + 4))
+def cmd_chambers(alpha, lam, E, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, levels + 4)
     V = _amo_series(lam)
     rows = []
     for q, p, _ in _fib_convergents(e, levels):
@@ -361,8 +359,8 @@ def cmd_seqs(alpha, depth, levels, out_dir) -> int:
     return EXIT_OK
 
 
-def cmd_last_diff(alpha, depth, lam, levels, out_dir) -> int:
-    e = contfrac.expand(alpha, max(depth, levels + 6))
+def cmd_last_diff(alpha, lam, levels, out_dir) -> int:
+    e = contfrac.expand(alpha, levels + 6)
     sets = [(q, spectra.amo_s_minus_closed_form(lam, q, p))
             for q, p, _ in _fib_convergents(e, levels + 1, q_min=5)]
     rows = []

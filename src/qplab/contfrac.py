@@ -73,7 +73,7 @@ class CfExpansion:
     log_beta: list
     rational: bool = False
     label: Optional[str] = None
-    _alpha_mp: object = field(default=None, repr=False)
+    _exact: object = field(default=None, repr=False)  # the Fraction or mpf that was expanded
 
     def depth(self) -> int:
         return len(self.a) - 1
@@ -89,8 +89,7 @@ class CfExpansion:
         return self.p[k], self.q[k]
 
     def alpha_mp(self, prec: int = 256):
-        if self._alpha_mp is not None:
-            return self._alpha_mp
+        """alpha as an mpf, at `prec` bits for a rational or symbolic input and as read for a decimal."""
         import mpmath as mp
 
         with mp.workprec(prec):
@@ -98,7 +97,9 @@ class CfExpansion:
                 return (mp.sqrt(5) - 1) / 2
             if self.label == "sqrt2m1":
                 return mp.sqrt(2) - 1
-            return mp.mpf(self.alpha)
+            if self.rational:
+                return mp.mpf(self._exact.numerator) / self._exact.denominator
+            return self._exact
 
     def norm_dist(self, k: int):
         """||k*alpha||_Z as an mpf, from alpha_mp at 256 + 2 bits(k) bits.
@@ -258,7 +259,8 @@ def _expand_rational(frac: Fraction, n_max: int) -> CfExpansion:
         log_beta.append(
             -math.inf if b == 0 else safe_log_int(b.numerator) - safe_log_int(b.denominator)
         )
-    return CfExpansion(float(frac), a, p, q, log_q, tails, beta, log_beta, rational=True)
+    return CfExpansion(float(frac), a, p, q, log_q, tails, beta, log_beta, rational=True,
+                       _exact=frac)
 
 
 def _expand_symbolic(label: str, n_max: int) -> CfExpansion:
@@ -334,7 +336,7 @@ def expand(alpha, n_max: int = 40, prec: int = 256) -> CfExpansion:
                 )
             beta.append(float(b))
             log_beta.append(float(mp.log(b)) if b > 0 else -math.inf)
-        return CfExpansion(float(x), a, p, q, log_q, tails, beta, log_beta, _alpha_mp=x)
+        return CfExpansion(float(x), a, p, q, log_q, tails, beta, log_beta, _exact=x)
 
 
 def is_cd_bridge(cf: CfExpansion, m: int, n: int, A: float, B: float, C: float) -> bool:

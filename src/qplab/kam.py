@@ -1,6 +1,6 @@
 """KAM machinery: cohomological solver, su(1,1) resonance handling, the
-homotopy-method conjugation, one full inductive step, the parameter
-schedule, and the almost-reducibility driver.
+homotopy-method conjugation, one full inductive step, and the
+almost-reducibility driver.
 
 Everything that must shrink (perturbations, widths, thresholds) is carried
 in log domain.  All near-identity group elements are represented by their
@@ -25,10 +25,8 @@ from .udspace import (
     Modulus,
     _grid_size,
     _grid_values,
-    gamma_of_log_sat,
     log_norm_mr_ln,
     rotation_series,
-    t_tilde_of,
 )
 
 
@@ -86,28 +84,6 @@ def coefficient_bound_ok(g: FourierSeries, v: FourierSeries, Qbar: int) -> bool:
     return bool(np.all(lhs <= rhs * (1 + 1e-12) + 1e-300))
 
 
-def small_divisor_floor(
-    cf_alpha: float, rho: float, gamma: float, tau: float, log_Q_next: float, K: int
-) -> dict:
-    """min over |k| <= K, both signs, of |e^{2 pi i (k alpha +- 2 rho)} - 1|.
-
-    Compared in log domain against gamma * Q_{n+1}^{-tau^2}.
-    """
-    ks = np.arange(0, K + 1)
-    best = math.inf
-    best_k = 0
-    for sgn in (1.0, -1.0):
-        vals = np.abs(np.exp(2j * np.pi * (ks * cf_alpha + sgn * 2.0 * rho)) - 1.0)
-        vals2 = np.abs(np.exp(2j * np.pi * (-ks * cf_alpha + sgn * 2.0 * rho)) - 1.0)
-        for arr in (vals, vals2):
-            i = int(np.argmin(arr))
-            if arr[i] < best:
-                best, best_k = float(arr[i]), int(ks[i])
-    log_bound = math.log(gamma) - tau**2 * log_Q_next
-    holds = math.log(max(best, 1e-300)) >= log_bound
-    return {"min_abs": best, "arg_k": best_k, "log_bound": log_bound, "holds": holds}
-
-
 # ---------------------------------------------------------------------------
 # su(1,1) series and near-identity group grids
 # ---------------------------------------------------------------------------
@@ -161,16 +137,6 @@ def su_to_sl2(w: Su11Series) -> FourierSeries:
     x = FourierSeries((v.coeffs + vbar.coeffs) / 2.0, True)
     y = FourierSeries(1j * (v.coeffs - vbar.coeffs) / 2.0, True)  # y = -Im v
     return FourierSeries.from_entries(x, y + t, y - t, x * (-1.0))
-
-
-def split_resonant(w: Su11Series, Q_half: float) -> dict:
-    """nre = {0, T_{Q_half} v}; re = {t, R_{Q_half} v}; exact partition."""
-    ks = w.v.ks()
-    low = np.where(np.abs(ks) < Q_half, w.v.coeffs, 0.0)
-    high = w.v.coeffs - low
-    nre = Su11Series(FourierSeries.zero(w.t.K), FourierSeries(low, False))
-    re = Su11Series(w.t, FourierSeries(high, False))
-    return {"nre": nre, "re": re}
 
 
 def _exp_su_vals(t_vals: np.ndarray, v_vals: np.ndarray):
@@ -312,85 +278,6 @@ def homotopy_conjugate(
 
 
 # ---------------------------------------------------------------------------
-# the parameter schedule
-# ---------------------------------------------------------------------------
-
-
-def schedule(
-    sel: BridgeSelection,
-    M: Modulus,
-    gamma: float,
-    tau: float,
-    r0: float,
-) -> dict:
-    """Log-domain schedule: T, eps_0, and per-level widths and thresholds.
-
-    The re-basing index n0 (first level with Qbar past T) is searched for in
-    the realized selection; when T is beyond the computed range the schedule
-    is emitted unrebased with n0_found = False.
-    """
-    A = sel.A
-    ln_ttilde = t_tilde_of(M, A, tau)
-    ln_T = max(
-        3.0 * math.log(max(M.c_M, 1e-300)),
-        3.0 * ln_ttilde,
-        -12.0 * math.log(r0),
-        2.0 * tau * math.log(4.0 / gamma),
-    )
-    lqb = sel.log_Qbar()
-    lq = [sel.cf.log_q()[i] for i in sel.idx]
-    n0 = None
-    m0 = None
-    for k in range(len(lq)):
-        if lq[k] <= ln_T:
-            m0 = k
-    if m0 is not None and m0 + 1 < len(lq):
-        n0 = m0 - 1 if lqb[m0] >= ln_T else m0
-        if n0 + 1 >= len(lq) or lqb[n0 + 1] < ln_T:
-            n0 = None
-    base = n0 if n0 is not None else 0
-    ln_eps0 = -8.0 * A**4 * tau**2 * ln_T
-    levels = []
-    ln_eps_rel = 0.0  # log(eps_n / eps_0): stays representable while eps_0 may not
-    ln_eps_rel_list = []
-    for n in range(1, len(sel.idx) - base):
-        lnqb_n = lqb[base + n]
-        lnqb_prev = lqb[base + n - 1]
-        g_val = gamma_of_log_sat(M, lnqb_n / 3.0)
-        g_half = math.sqrt(g_val) if math.isfinite(g_val) else math.inf
-        ln_eps_rel = ln_eps_rel - g_half * lnqb_n
-        ln_eps_rel_list.append(ln_eps_rel)
-        m = max(ln_eps_rel_list)
-        if math.isfinite(m):
-            ln_eps_tilde = (
-                math.log(1e3)
-                + ln_eps0
-                + m
-                + math.log(sum(math.exp(v - m) for v in ln_eps_rel_list))
-            )
-        else:
-            ln_eps_tilde = -math.inf
-        levels.append(
-            {
-                "n": n,
-                "log_r": -2.0 * lnqb_prev + math.log(r0),
-                "log_rbar": math.log(2.0) - 2.0 * lnqb_n + math.log(r0),
-                "log_eps": ln_eps0 + ln_eps_rel,
-                "log_eps_rel": ln_eps_rel,
-                "log_eps_tilde": ln_eps_tilde,
-            }
-        )
-    return {
-        "log_T": ln_T,
-        "log_T_tilde": ln_ttilde,
-        "log_eps0": ln_eps0,
-        "n0": n0,
-        "n0_found": n0 is not None,
-        "levels": levels,
-    }
-
-
-# ---------------------------------------------------------------------------
 # one KAM step and the driver
 # ---------------------------------------------------------------------------
 
@@ -433,17 +320,15 @@ def kam_step(
     state: KamState,
     sel: BridgeSelection,
     M: Modulus,
-    gamma: float,
-    tau: float,
     K_work: int = 48,
-    mode: str = "measured",
-    sched: Optional[dict] = None,
 ) -> KamState:
     """One inductive step: remove g_n, contract F_n, restore the rotation frame.
 
     Sub-conjugations, in order: (i) e^{-v_n J} with v_n from the cohomological
     equation, absorbing the mean of g_n into the perturbation; (ii) the su(1,1)
     homotopy conjugation followed by the resonant re-truncation; (iii) e^{+v_n J}.
+    The homotopy step's smallness hypothesis is measured and recorded in
+    meta["hypothesis_ok"], not enforced.
     """
     n = state.level
     if n + 1 >= sel.levels():
@@ -451,21 +336,6 @@ def kam_step(
     lqb = sel.log_Qbar()
     alpha, rho_f = state.alpha, state.rho_f
     ln_r0 = state.meta.get("ln_r0", state.ln_r)
-
-    if mode == "strict":
-        if sched is None or not sched["n0_found"]:
-            raise HypothesisViolated("strict mode: schedule has no realized re-basing level")
-        if n == 0:
-            thr = sched["log_eps0"]
-        elif n - 1 < len(sched["levels"]):
-            thr = sched["levels"][n - 1]["log_eps"]
-        else:
-            raise HypothesisViolated("strict mode: schedule exhausted at this level")
-        if state.log_eps_measured > thr:
-            raise HypothesisViolated(
-                f"strict mode: measured log eps {state.log_eps_measured:.2f} above "
-                f"schedule threshold {thr:.2f}"
-            )
 
     # -- (i) remove the oscillating part of g_n ------------------------------
     g_n = state.g
@@ -491,10 +361,8 @@ def kam_step(
     W = sl2_to_su(Ftilde).hermitize()
     ln_qb_next = lqb[n + 1]
     Q_half = math.exp(0.5 * ln_qb_next) if 0.5 * ln_qb_next < 700 else math.inf
-    hres = homotopy_conjugate(
-        rho_f, W, alpha, Q_half, M, state.ln_rbar,
-        enforce_hypothesis=(mode == "strict"),
-    )
+    hres = homotopy_conjugate(rho_f, W, alpha, Q_half, M, state.ln_rbar,
+                              enforce_hypothesis=False)
     Y, W_re = hres["Y"], hres["g_re"]
     Q_next = math.exp(ln_qb_next) if ln_qb_next < 700 else math.inf
     f_t = W_re.t
@@ -611,9 +479,6 @@ def almost_reducibility_driver(
     M: Modulus,
     sel: BridgeSelection,
     steps: int,
-    gamma: float = 0.1,
-    tau: float = 1.5,
-    mode: str = "measured",
     K_work: int = 48,
 ) -> dict:
     """Iterate kam_step from (alpha, A0), recording a ledger per level.
@@ -628,14 +493,11 @@ def almost_reducibility_driver(
     F0 = FourierSeries.from_values(sl2.sl2_log_dev(dev), K_work, True, tail_tol=None)
     r0 = 0.5  # the first step works at the full width 2 r0 = 1
     state = initial_state(alpha, rho_f, F0, M, sel, r0)
-    sched = None
-    if mode == "strict":
-        sched = schedule(sel, M, gamma, tau, r0)
     ledger = []
     stop_reason = f"completed {steps} steps"
     for _ in range(steps):
         try:
-            state = kam_step(state, sel, M, gamma, tau, K_work=K_work, mode=mode, sched=sched)
+            state = kam_step(state, sel, M, K_work=K_work)
         except (HypothesisViolated, NewtonDivergence, ExactResonance, IndexError) as exc:
             stop_reason = f"stopped at level {state.level}: {exc}"
             break
@@ -643,11 +505,6 @@ def almost_reducibility_driver(
         entry = {
             "level": state.level,
             "log_eps_measured": state.log_eps_measured,
-            "log_eps_schedule": (
-                sched["levels"][state.level - 1]["log_eps"]
-                if sched and state.level - 1 < len(sched["levels"])
-                else None
-            ),
             "residual": residual,
             "phi_dist": state.meta.get("phi_dist"),
             "divisor_margin": state.meta.get("divisor_floor"),

@@ -1,6 +1,6 @@
-"""Large-deviation toolkit: Fejer kernels, averaged shifts, Gevrey
-truncation of cocycles, deviation-set experiments, the avalanche principle
-check, periodic log-norm bounds, and the induction-sequence generator.
+"""Large-deviation toolkit: Fejer kernels, Gevrey truncation of cocycles,
+deviation-set experiments, the avalanche principle check, periodic log-norm
+bounds, and the induction-sequence generator.
 
 Existential constants are never asserted: experiments report measured
 values, envelopes, or pass/fail against caller-supplied scale constants.
@@ -12,7 +12,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,15 +88,6 @@ class FejerKernel:
         return bool(np.all(vals <= cap * (1 + 1e-9)) and np.all(cap <= loose * (1 + 1e-9)))
 
 
-def fejer_average(u: Callable, alpha: float, kernel: FejerKernel, theta) -> np.ndarray:
-    """R^{-p} sum_j c(j) u(theta + j alpha)."""
-    theta = np.asarray(theta, dtype=float)
-    j = np.arange(kernel.c.size)
-    w = kernel.c.astype(float) / float(kernel.R**kernel.p)
-    pts = np.mod(theta[..., None] + j * alpha, 1.0)
-    return np.asarray(u(pts)) @ w
-
-
 # ---------------------------------------------------------------------------
 # parameter bookkeeping
 # ---------------------------------------------------------------------------
@@ -146,72 +137,10 @@ class LdtScales:
         if not self.sigma1 > self.sigma:
             raise ScalesInvalid("derived sigma_1 must exceed sigma")
 
-    def varsigma(self, S: float, rho: float) -> tuple[float, float, float]:
-        """(threshold exponent, threshold constant, measure exponent)."""
-        s1 = self.p * (1.0 - 1.0 / self.sigma)
-        s2 = 2.0 ** (self.p + 5) * S / rho
-        s3 = (1.0 + self.p) / self.sigma - self.p
-        return s1, s2, s3
-
 
 # ---------------------------------------------------------------------------
 # deviation-set experiments
 # ---------------------------------------------------------------------------
-
-
-def deviation_set_measure(
-    u: Callable,
-    a: int,
-    q: int,
-    scales: LdtScales,
-    S: float,
-    rho: float,
-    grid_mult: int = 32,
-    threshold: Optional[float] = None,
-) -> dict:
-    """Empirical measure of the Fejer-average deviation set vs its bound.
-
-    u must be bounded on the circle with sup norm <= S and a bounded
-    subharmonic extension to a strip of half-width rho.  The frequency is
-    the rational a/q; R = round(q^sigma).  The grid size is a multiple of q
-    so the shifted samples stay on the grid.  The certified threshold
-    varsigma_2 R^{-varsigma_1} is usually vacuous at desk scale, so an
-    explicit `threshold` can be supplied for empirical decay curves; the
-    certified pair is reported either way, and checked against its bound
-    from q = 32 on.
-    """
-    if math.gcd(a, q) != 1:
-        raise ValueError("need gcd(a, q) = 1")
-    R = int(round(q**scales.sigma))
-    ker = FejerKernel(R, scales.p)
-    G = grid_mult * q
-    th = np.arange(G) / G
-    uvals = np.asarray(u(th), dtype=float)
-    mean = float(np.mean(uvals))
-    w = ker.c.astype(float) / float(R**scales.p)
-    # exact circular shifts: theta + j a/q moves the grid by j*a*grid_mult slots
-    avg = np.zeros(G)
-    for j in range(ker.c.size):
-        avg += w[j] * np.roll(uvals, -j * a * grid_mult)
-    s1, s2, s3 = scales.varsigma(S, rho)
-    cert_threshold = s2 * R ** (-s1)
-    thr = cert_threshold if threshold is None else threshold
-    measure = float(np.mean(np.abs(avg - mean) > thr))
-    cert_measure = float(np.mean(np.abs(avg - mean) > cert_threshold))
-    log_bound = 2.0 * s1 * math.log(R) - 8.0 * math.log(2.0) - R**s3
-    meaningful = q >= 32
-    return {
-        "R": R,
-        "measure": measure,
-        "threshold": thr,
-        "cert_threshold": cert_threshold,
-        "cert_measure": cert_measure,
-        "log_bound": log_bound,
-        "meaningful": meaningful,
-        "ok": (cert_measure == 0.0 or math.log(cert_measure) <= log_bound)
-        if meaningful
-        else None,
-    }
 
 
 def ldt_experiment(

@@ -242,10 +242,6 @@ class Discriminant:
         return {"coeffs": coeffs, "bandwidth": d}
 
 
-def discriminant(V: FourierSeries, p: int, q: int, E: float, theta: float) -> float:
-    return float(Discriminant(V, p, q).value(np.asarray(E), np.asarray(theta)))
-
-
 def discriminant_fourier(V: FourierSeries, p: int, q: int, E: float) -> dict:
     return Discriminant(V, p, q).fourier(E)
 

@@ -15,7 +15,6 @@ Numerical conventions:
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -206,27 +205,6 @@ def gamma_of(M: Modulus, x: float) -> float:
     return s / math.log(x)
 
 
-def gamma_of_log(M: Modulus, ln_x: float) -> float:
-    if ln_x <= 0:
-        raise ValueError("Gamma is defined for x > 1")
-    return _argmax_s(M, ln_x) / ln_x
-
-
-def gamma_of_log_sat(M: Modulus, ln_x: float) -> float:
-    """Gamma at possibly huge arguments, saturating to +inf past float range.
-
-    Deep KAM schedules evaluate Gamma at doubly-exponential points where the
-    argmax itself overflows doubles; the schedule then saturates rather than
-    erroring.
-    """
-    if ln_x <= 0:
-        raise ValueError("Gamma is defined for x > 1")
-    try:
-        return _argmax_s(M, ln_x) / ln_x
-    except ScanCapExceeded:
-        return math.inf
-
-
 def condition_a_check(M: Modulus) -> dict:
     """Sampled check of the three-part growth/monotonicity condition on Gamma.
 
@@ -292,36 +270,6 @@ def t1_of(M: Modulus) -> float:
     x18 = math.exp(_cleared_from(M, 18.0))
     x3 = math.exp(_cleared_from(M, 3.0))
     return max(x18 / 4.0, x3 / math.pi) * (1 + 1e-9)
-
-
-def t_tilde_of(M: Modulus, A: float, tau: float) -> float:
-    """ln of the threshold where Gamma >= 64 A^8 tau^4 and Lambda(x) >= ln x.
-
-    Returned in log domain; for the moduli of interest the threshold itself
-    overflows floats long before the schedule needs it.
-    """
-    level = 64.0 * A**8 * tau**4
-    lo, hi = 1e-3, 2.0
-    while _argmax_s(M, hi) / hi < level:
-        hi *= 2
-        if hi > 1e200:
-            raise ScanCapExceeded("T-tilde search diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _argmax_s(M, mid) / mid >= level:
-            hi = mid
-        else:
-            lo = mid
-    ln_t = hi
-    # walk forward a little to make sure we are past the last crossing
-    step = ln_t * 1e-3
-    while _argmax_s(M, ln_t) / ln_t < level:
-        ln_t += step
-    # Lambda(x) >= ln x is implied far earlier for any admissible modulus
-    lam, _ = lambda_of_log(M, ln_t)
-    if lam < ln_t:
-        raise ScanCapExceeded("Lambda(x) < ln x at the Gamma threshold")
-    return ln_t
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +492,6 @@ class FourierSeries:
     def check_real(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coeffs - np.conj(self.coeffs[..., ::-1]))) <= tol * max(1.0, self.l1()))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"K": self.K, "re": np.real(self.coeffs).tolist(), "im": np.imag(self.coeffs).tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, s: str, real_flag: bool = False) -> "FourierSeries":
-        d = json.loads(s)
-        return cls(np.array(d["re"]) + 1j * np.array(d["im"]), real_flag)
-
     # -- 2x2 series ----------------------------------------------------------
 
     def mat_mul(self, other: "FourierSeries", out_K: Optional[int] = None,
@@ -648,7 +586,7 @@ def _log_ns(coeff_abs: np.ndarray, ks: np.ndarray, s_values: np.ndarray) -> np.n
 def log_norm_mr_ln(f, M: Modulus, ln_r: float, s_cap: Optional[int] = None) -> float:
     """log of the modulus norm with the width given as ln(r).
 
-    Widths deep in a KAM schedule underflow floats; everything here only
+    Widths deep in a KAM run underflow floats; everything here only
     needs ln_r.  A 2x2 series takes the entrywise max.
     """
     if s_cap is None:
@@ -702,15 +640,6 @@ def log_norm_lambda(f: FourierSeries, M: Modulus, r: float) -> float:
     terms = np.log(mag[mask]) + lam[mask]
     m = float(np.max(terms))
     return m + math.log(float(np.sum(np.exp(terms - m))))
-
-
-def fourier_decay_ok(f: FourierSeries, M: Modulus, r: float) -> bool:
-    """|fhat(k)| <= ||f||_{M,r} exp(-Lambda(|2 pi k| r)) for every k in support."""
-    ln_norm = log_norm_mr(f, M, r)
-    lam = lambda_many(M, np.abs(2.0 * np.pi * f.ks()) * r)
-    mag = np.abs(f.coeffs)
-    mask = mag > 0
-    return bool(np.all(np.log(mag[mask]) <= ln_norm - lam[mask] + 1e-9))
 
 
 def tail_bound_c0(f: FourierSeries, M: Modulus, r: float, K: int) -> dict:

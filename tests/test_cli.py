@@ -54,9 +54,19 @@ def test_exit_code_error(tmp_path):
     assert code == 1
 
 
+def test_decimal_alpha_on_the_alpha_only_commands(tmp_path):
+    # these read alpha alone, so a terminating decimal is never expanded past its end
+    for argv, codes in ((["lyapunov", "--alpha", "0.3", "--n", "8"], {0}),
+                        (["rotnum", "--alpha", "0.3", "--n", "1000"], {0}),
+                        (["dioph", "--alpha", "0.3"], {0, 2})):
+        assert main(argv + ["--out-dir", str(tmp_path / argv[0])]) in codes, argv
+
+
 @pytest.mark.parametrize("argv", [["cf", "--bogus"], ["cf", "--depth", "x"],
-                                  ["spectrum", "--alpha", "0.3"]],
-                         ids=["unknown-flag", "bad-int", "flag-of-another-command"])
+                                  ["spectrum", "--alpha", "0.3"], ["kam-run", "--gamma", "0.1"],
+                                  ["lyapunov", "--depth", "5"]],
+                         ids=["unknown-flag", "bad-int", "flag-of-another-command",
+                              "kam-gamma", "lyapunov-depth"])
 def test_usage_error_exits_1(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 1

@@ -138,6 +138,17 @@ def test_invariants_past_the_prefix():
     assert not dataclasses.replace(cf, _log_q=moved).check_invariants()["recurrence"]
 
 
+def test_rational_alpha_mp_is_exact():
+    """A rational expansion's alpha_mp is p/q at the asked precision, not the 53-bit float.
+
+    The float passes the sandwich and the beta identity only while q_n stays near 2^26.
+    """
+    inv = expand(_deep_rational(), 1000).check_invariants(n_limit=3, exhaustive_q_cap=0)
+    assert all(inv.values()), inv
+    assert fresh_modules('from qplab.contfrac import expand; expand("1/7919", 40)',
+                         {"mpmath"}) == []
+
+
 def test_safe_log_ints_is_safe_log_int_per_entry():
     # both sides of the 512-bit cut, and q lists that are not symbolic
     ns = [1, 2, 3] + [(1 << b) + d for b in (52, 53, 511, 512, 513, 4000) for d in (-1, 0, 1)]

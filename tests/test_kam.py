@@ -16,11 +16,8 @@ from qplab.kam import (
     homotopy_conjugate,
     initial_state,
     kam_step,
-    schedule,
     sl2_to_su,
-    small_divisor_floor,
     solve_cohomological,
-    split_resonant,
     su_to_sl2,
 )
 from qplab.udspace import FourierSeries, MatSeries, Modulus, rotation_series
@@ -63,38 +60,6 @@ def test_cohomological_exact_resonance():
     g = random_real_series(np.random.default_rng(0), 4)
     with pytest.raises(ExactResonance):
         solve_cohomological(g, 0.5, Q=4)
-
-
-def test_small_divisor_floor_golden():
-    lqn = math.log(34.0)
-    out = small_divisor_floor(GOLDEN, 0.25, gamma=0.1, tau=1.5, log_Q_next=lqn, K=50)
-    assert out["holds"] and out["min_abs"] > 0.0
-
-
-def test_small_divisor_includes_k0():
-    out = small_divisor_floor(GOLDEN, 0.2, gamma=0.1, tau=1.5, log_Q_next=0.0, K=0)
-    assert out["min_abs"] == pytest.approx(abs(np.exp(4j * np.pi * 0.2) - 1.0))
-
-
-def test_small_divisor_constructed_violation():
-    # rho = <k0 alpha / 2> makes the k = -k0 divisor vanish
-    k0 = 5
-    rho = (k0 * GOLDEN / 2.0) % 0.5
-    out = small_divisor_floor(GOLDEN, rho, gamma=0.5, tau=1.1, log_Q_next=math.log(34.0), K=8)
-    assert not out["holds"]
-    assert out["arg_k"] == k0
-
-
-def test_split_resonant_cases(rng):
-    w = random_su(rng, 5, -3.0)
-    low = split_resonant(Su11Series(FourierSeries.zero(5), w.v), 10.0)
-    assert low["re"].t.l1() == 0.0 and low["re"].v.l1() == 0.0
-    pure_t = Su11Series(w.t, FourierSeries.zero(5, real_flag=False))
-    sp = split_resonant(pure_t, 3.0)
-    assert sp["nre"].v.l1() == 0.0 and sp["nre"].t.l1() == 0.0
-    sp2 = split_resonant(w, 3.0)
-    rec = sp2["nre"] + sp2["re"]
-    assert np.array_equal(rec.v.coeffs, w.v.pad_to(rec.v.K).coeffs)
 
 
 def test_su_roundtrip(rng):
@@ -145,35 +110,10 @@ def deep_selection():
 def test_kam_step_identity_state(deep_selection):
     cf, sel = deep_selection
     st = initial_state(GOLDEN, 0.25, MatSeries.constant(np.zeros((2, 2))), MA, sel)
-    nxt = kam_step(st, sel, MA, gamma=0.1, tau=1.5)
+    nxt = kam_step(st, sel, MA)
     assert nxt.F.l1() == 0.0
     assert nxt.g.l1() == 0.0
     assert (nxt.conj - MatSeries.constant(np.eye(2)).pad_to(nxt.conj.K)).l1() <= 1e-14
-
-
-def test_schedule_formula_arithmetic(golden_cf):
-    # engineered selection with Qbar_1 = 13: level-1 width is 2/169
-    sel = contfrac.BridgeSelection(golden_cf, 2.0, [1, 5], exhausted=True)
-    assert sel.Qbar == [2, 13]
-    sch = schedule(sel, MA, gamma=0.5, tau=1.1, r0=1.0)
-    lvl1 = sch["levels"][0]
-    assert lvl1["log_rbar"] == pytest.approx(math.log(2.0 / 169.0))
-    assert lvl1["log_r"] == pytest.approx(math.log(1.0 / 4.0))
-    from qplab.udspace import gamma_of_log
-
-    g_half = math.sqrt(gamma_of_log(MA, math.log(13.0) / 3.0))
-    assert lvl1["log_eps"] == pytest.approx(sch["log_eps0"] - g_half * math.log(13.0))
-
-
-def test_schedule_eps_decreasing_power(deep_selection):
-    cf, sel = deep_selection
-    Mp = Modulus("power", 3.0)
-    sch = schedule(sel, Mp, gamma=0.1, tau=1.5, r0=0.5)
-    # eps_0 is so small its log saturates double precision; the ratio chain
-    # log(eps_n/eps_0) carries the strict decrease exactly
-    rel = [0.0] + [lvl["log_eps_rel"] for lvl in sch["levels"]]
-    assert all(rel[i + 1] < rel[i] for i in range(len(rel) - 1))
-    assert sch["log_eps0"] < 0
 
 
 def _small_cocycle(rng, rho, scale=1e-3, K0=8):
@@ -217,14 +157,6 @@ def test_driver_phi_dist_not_floored_by_rounding():
     assert len(dist) == 4
     assert all(a > b for a, b in zip(dist, dist[1:]))
     assert dist[3] < 1e-18
-
-
-def test_driver_strict_mode_refuses(deep_selection, rng):
-    cf, sel = deep_selection
-    A0 = _small_cocycle(rng, 0.25)
-    out = almost_reducibility_driver(GOLDEN, A0, 0.25, MA, sel, steps=2, mode="strict")
-    assert out["ledger"] == []
-    assert "stopped" in out["stop_reason"]
 
 
 def test_driver_resonant_rho_reported(deep_selection, rng):

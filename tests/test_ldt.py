@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import qplab.sl2 as sl2
-from conftest import random_real_series
 from qplab import contfrac
 from qplab.cocycle import QpCocycle, _transfer_grid, amo, rotation_cocycle
 from qplab.ldt import (
@@ -13,8 +12,6 @@ from qplab.ldt import (
     LdtScales,
     ScalesInvalid,
     avalanche_check,
-    deviation_set_measure,
-    fejer_average,
     gevrey_truncate,
     induction_sequences,
     ldt_experiment,
@@ -46,26 +43,6 @@ def test_fejer_envelope(rng):
         assert FejerKernel(R, p).envelope_ok(ts)
 
 
-def test_fejer_average_constant():
-    ker = FejerKernel(16, 2)
-    out = fejer_average(lambda x: 2.5 * np.ones_like(x), GOLDEN, ker, np.array([0.1, 0.7]))
-    assert np.allclose(out, 2.5)
-
-
-def test_fejer_average_matches_spectral_form(rng):
-    # for band-limited u the average equals mean + sum a_k K(k alpha) e(k theta)
-    u = random_real_series(rng, 4)
-    ker = FejerKernel(12, 2)
-    th = rng.uniform(0, 1, 5)
-    direct = fejer_average(lambda x: np.real(u(x)), GOLDEN, ker, th)
-    spectral = np.full(5, float(np.real(u.mean())), dtype=complex)
-    for k in range(-4, 5):
-        if k == 0:
-            continue
-        spectral += u.c(k) * ker.eval(k * GOLDEN) * np.exp(2j * np.pi * k * th)
-    assert np.max(np.abs(direct - np.real(spectral))) <= 1e-10
-
-
 def test_scales_validation():
     LdtScales()  # defaults are consistent
     with pytest.raises(ScalesInvalid):
@@ -74,39 +51,6 @@ def test_scales_validation():
         LdtScales(delta=0.1)
     with pytest.raises(ScalesInvalid):
         LdtScales(p=5)
-
-
-def test_deviation_measure_trivial_cases():
-    sc = LdtScales()
-    out = deviation_set_measure(lambda th: np.ones_like(th), 8, 13, sc, S=1.0, rho=0.1)
-    assert out["measure"] == 0.0
-    # threshold beyond 2S can never be exceeded
-    out = deviation_set_measure(
-        lambda th: np.sign(np.cos(2 * np.pi * th)), 8, 13, sc, S=1.0, rho=0.1, threshold=2.5
-    )
-    assert out["measure"] == 0.0
-
-
-def test_deviation_measure_decay(rng):
-    sc = LdtScales()
-
-    def make_u(N):
-        def u(th):
-            sh = np.asarray(th).shape
-            flat = np.asarray(th).ravel()
-            mats, ls = _transfer_grid(amo(3.0, 0.0, GOLDEN), flat, N)
-            return ((np.log(sl2.op_norm(mats)) + ls) / N).reshape(sh)
-
-        return u
-
-    ms = []
-    for q, a in ((13, 8), (21, 13), (34, 21)):
-        R = int(round(q**sc.sigma))
-        out = deviation_set_measure(
-            make_u(R), a, q, sc, S=2.0, rho=0.05, grid_mult=32, threshold=0.005
-        )
-        ms.append(out["measure"])
-    assert ms[0] > ms[1] > ms[2]
 
 
 def test_ldt_experiment_trivial():

@@ -18,7 +18,6 @@ from qplab.spectra import (
     band_edges,
     band_set,
     chambers_deviation,
-    discriminant,
     discriminant_fourier,
     ids,
     s_sets,
@@ -32,9 +31,9 @@ VAM = lambda lam: FourierSeries.cosine(2.0 * lam)
 
 
 def test_discriminant_free_small_q():
-    assert discriminant(V0, 0, 1, 1.7, 0.3) == pytest.approx(1.7)
+    assert Discriminant(V0, 0, 1).value(1.7, 0.3) == pytest.approx(1.7)
     E = 1.3
-    assert discriminant(V0, 1, 2, E, 0.1) == pytest.approx(E * E - 2.0)
+    assert Discriminant(V0, 1, 2).value(E, 0.1) == pytest.approx(E * E - 2.0)
 
 
 def test_discriminant_periodicity_in_theta():

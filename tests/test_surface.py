@@ -9,7 +9,12 @@ with `*args` or `**kwargs` counts as setting every parameter.
 The CLI counterpart: every setting is a parameter of some subcommand, every
 subcommand reads each of its parameters, and every flag appears in some
 argv of `tests/`, `perfbench/` or `scripts/`: a list literal that starts
-with a subcommand name or extends a list named `argv`.
+with a subcommand name or extends a list named `argv`.  Each flag is also
+live: given a second value, it changes an artifact byte or the exit code.
+
+The library counterpart: every public module-level function and class is
+used by the program, its scripts, the benchmark or the acceptance criteria,
+not only by unit tests.
 """
 
 import ast
@@ -17,6 +22,7 @@ import inspect
 from pathlib import Path
 
 from qplab import cli
+from test_acceptance import DETERMINISM_COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "tests", "perfbench", "scripts")
@@ -109,3 +115,95 @@ def test_every_flag_is_set_by_some_argv():
                           and isinstance(e.value, str) and e.value.startswith("--")}
     flags = {"--" + k.replace("_", "-") for k in cli.SETTINGS}
     assert not flags - given, f"flags no argv sets: {sorted(flags - given)}"
+
+
+# a second value per setting: the first candidate that differs from the argv's value
+_SECOND = {
+    "alpha": ("sqrt2m1",), "depth": ("11",), "lam": ("0.7", "0.3"), "E": ("0.3",),
+    "rho": ("0.2",), "gamma": ("0.2",), "tau": ("2.5",), "v": ("0.3",), "K": ("200",),
+    "q": ("5", "8"), "p": ("2", "3"), "levels": ("1", "2"), "steps": ("1",),
+    "eps": ("2e-3",), "modulus": ("gevrey",), "modulus_param": ("0.5",), "grid": ("64",),
+    "n": ("64", "128"),
+}
+
+# (subcommand, setting) -> argv additions for both runs, where the argv makes the setting vacuous
+_ARGV_FOR = {
+    ("norms", "modulus_param"): ["--modulus", "gevrey"],  # the analytic class takes no parameter
+    ("kam-step", "modulus_param"): ["--modulus", "gevrey"],
+    ("kam-run", "modulus_param"): ["--modulus", "gevrey"],
+    # at q = 3 the one other p is 2 = -1, the reflected operator, with the same bands
+    ("spectrum", "p"): ["--q", "5"],
+    ("sminus", "p"): ["--q", "5"],
+    ("ids", "p"): ["--q", "5"],
+}
+
+# (subcommand, setting) -> why no second value shows at a determinism argv
+_LIVE_EXEMPT = {
+    ("seqs", "depth"): "the expansion is at least 250 deep, and more binds only for an alpha "
+                       "whose second induction scale lies past 250 quotients (golden's: ~236)",
+}
+
+
+def _run(argv, out):
+    code = cli.main(argv + ["--out-dir", str(out)])
+    return code, {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+
+
+def test_every_flag_changes_an_artifact_or_the_exit_code(tmp_path):
+    dead, runs = [], {}
+    for argv in DETERMINISM_COMMANDS:
+        cmd = argv[0]
+        for key in inspect.signature(cli.COMMANDS[cmd]).parameters:
+            if key == "out_dir" or (cmd, key) in _LIVE_EXEMPT:
+                continue
+            flag = "--" + key.replace("_", "-")
+            base = argv + _ARGV_FOR.get((cmd, key), [])
+            if tuple(base) not in runs:
+                runs[tuple(base)] = _run(base, tmp_path / str(len(runs)))
+            now = base[base.index(flag) + 1] if flag in base else str(cli.SETTINGS[key][1])
+            second = next(v for v in _SECOND[key] if v != now)
+            if _run(base + [flag, second], tmp_path / f"{cmd}-{key}") == runs[tuple(base)]:
+                dead.append(f"{cmd} {flag} {second}")
+    assert not dead, f"flags that change no artifact byte and no exit code: {dead}"
+
+
+# public names with no caller yet, each with the reason it stays
+_UNCALLED_ALLOWED = {
+    "strip_log_norm_bound": "ultra-differentiable tool; the ud potential of ROADMAP item 1 calls it",
+    "lyapunov_truncation_gap": "ultra-differentiable tool; the ud potential of ROADMAP item 1 "
+                               "calls it",
+    "periodic_ln_bound": "ultra-differentiable tool; the ud potential of ROADMAP item 1 calls it",
+    "lyapunov_det_drift": "the determinant-drift check of the transfer kernel _transfer_grid",
+}
+
+
+def _references(tree):
+    """Names, attributes and string constants under each top-level statement of a module."""
+    for stmt in tree.body:
+        refs = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+        yield stmt, refs
+
+
+def test_every_public_function_and_class_has_a_caller():
+    paths = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    refs, defs = set(), []
+    for path in paths:
+        for stmt, names in _references(ast.parse(path.read_text())):
+            if (path.parent.name == "qplab" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defs.append(f"{path.stem}.{stmt.name}")
+                names = names - {stmt.name}  # a definition does not call itself into use
+            refs |= names
+    uncalled = [d for d in defs
+                if d.split(".")[1] not in refs and d.split(".")[1] not in _UNCALLED_ALLOWED]
+    assert not uncalled, f"public names only unit tests use: {uncalled}"
+    stale = sorted(set(_UNCALLED_ALLOWED) & refs)
+    assert not stale, f"allow-listed names that now have a caller: {stale}"

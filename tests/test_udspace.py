@@ -14,7 +14,6 @@ from qplab.udspace import (
     Modulus,
     _grid_values,
     condition_a_check,
-    fourier_decay_ok,
     gamma_of,
     lambda_many,
     lambda_of,
@@ -138,12 +137,6 @@ def test_two_norm_relations(moduli, rng):
             assert norm_lambda(f, M, r / 2) <= (4 + M.c_M) / (2 * math.pi * r) * norm_mr(
                 f, M, r
             ) * (1 + 1e-9)
-
-
-def test_fourier_decay(moduli, rng):
-    for M in moduli:
-        f = random_real_series(rng, 9)
-        assert fourier_decay_ok(f, M, 0.2)
 
 
 def test_split_truncate_partition(rng):
@@ -294,12 +287,6 @@ def test_norm_cap_warning():
         log_norm_mr(f, M, 5.0, s_cap=10)
 
 
-def test_series_json_roundtrip(rng):
-    f = FourierSeries(rng.normal(size=9) + 1j * rng.normal(size=9))
-    g = FourierSeries.from_json(f.to_json())
-    assert np.allclose(g.coeffs, f.coeffs)
-
-
 def test_matrix_series_acts_entrywise(rng):
     # a 2x2 series is the same type as a scalar one: every operation acts on
     # its four entries independently
@@ -327,9 +314,6 @@ def test_matrix_series_acts_entrywise(rng):
         out = op(A)
         for (i, j), e in zip(pos, ents):
             assert np.array_equal(out.coeffs[i, j], op(e).coeffs)
-    for M in (A, rotation_series(FourierSeries.constant(0.25), out_K=2)):
-        again = FourierSeries.from_json(M.to_json(), real_flag=M.real_flag)
-        assert np.array_equal(again.coeffs, M.coeffs) and again.real_flag == M.real_flag
 
 
 @settings(max_examples=25, deadline=None)
