@@ -6,8 +6,8 @@ other (`qplab <cmd> --help` lists them).  It runs one experiment suite and
 writes deterministic artifacts (CSV for tabular data, JSONL for ledgers,
 JSON for single structured results) into --out-dir, which defaults to
 $QPLAB_OUT or the working directory.
-Exit codes: 0 success, 2 hypothesis violation (soft), 1 error, usage
-errors included.
+Exit codes: 0 success, 2 hypothesis violation (soft; kam-step and kam-run
+print the driver's stop reason on stderr), 1 error, usage errors included.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def _exp_bandwidth(F: FourierSeries) -> int:
     return m * F.K
 
 
-def _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps) -> list:
-    """Ledger of the driver from R_rho e^F, F a seeded sl(2,R) perturbation of size eps."""
+def _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps) -> tuple:
+    """The driver's ledger and stop reason from R_rho e^F, F a seeded sl(2,R) term of size eps."""
     M = _modulus(modulus, modulus_param)
     e, sel = _deep_bridges(alpha)
     rng = np.random.default_rng(0)
@@ -245,20 +245,28 @@ def _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps) -> list:
     R = rotation_series(FourierSeries.constant(rho), out_K=2)
     K_exp = _exp_bandwidth(F)  # 3 K0 at eps = 1e-3
     A0 = R.mat_mul(F.exp_map(out_K=K_exp), out_K=K_exp + 4, tail_tol=None)
-    return kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps)["ledger"]
+    out = kam.almost_reducibility_driver(e.alpha, A0, rho, M, sel, steps=steps)
+    return out["ledger"], out["stop_reason"]
 
 
-# both exit 0 only if every level completed
+def _kam_exit(ledger: list, steps: int, stop_reason: str) -> int:
+    """0 only if every level completed; otherwise 2, with the driver's stop reason on stderr."""
+    if len(ledger) == steps:
+        return EXIT_OK
+    print(stop_reason, file=sys.stderr)
+    return EXIT_HYPOTHESIS
+
+
 def cmd_kam_step(alpha, rho, eps, modulus, modulus_param, out_dir) -> int:
-    ledger = _kam_ledger(alpha, rho, eps, modulus, modulus_param, 1)
+    ledger, stop_reason = _kam_ledger(alpha, rho, eps, modulus, modulus_param, 1)
     _write(out_dir, "kam_step.jsonl", kam.ledger_to_jsonl(ledger))
-    return EXIT_OK if len(ledger) == 1 else EXIT_HYPOTHESIS
+    return _kam_exit(ledger, 1, stop_reason)
 
 
 def cmd_kam_run(alpha, rho, eps, modulus, modulus_param, steps, out_dir) -> int:
-    ledger = _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps)
+    ledger, stop_reason = _kam_ledger(alpha, rho, eps, modulus, modulus_param, steps)
     _write(out_dir, "kam_run.jsonl", kam.ledger_to_jsonl(ledger))
-    return EXIT_OK if len(ledger) == steps else EXIT_HYPOTHESIS
+    return _kam_exit(ledger, steps, stop_reason)
 
 
 def cmd_spectrum(lam, q, p, out_dir) -> int:

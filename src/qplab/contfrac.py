@@ -1,20 +1,20 @@
 """Continued fractions, best rational approximations, CD bridges.
 
-The expansion is computed either exactly (rational input, or a symbolic
-quadratic irrational whose partial quotients are known in closed form) or
-with mpmath at a configurable working precision.  The convergents p_k, q_k
-are streamed from the integer recurrence, two live ints at a time.  An
-expansion holds them as exact python ints only while q_k has at most
-`sl2.EXACT_BITS` bits, the largest exact power the bridge certificate
-forms, and log q_k for the whole depth; q_k has about 0.69 k bits at
-golden, so a full list to depth n would cost about 0.35 n^2 bits.  The
-products beta_n are kept both as floats and in log domain because they
-underflow quickly.
+The expansion is computed either exactly (rational input, a "p/q" or
+decimal string included, or a symbolic quadratic irrational whose partial
+quotients are known in closed form) or, for a float or mpf, with mpmath at
+a configurable working precision.  The convergents p_k, q_k are streamed
+from the integer recurrence, two live ints at a time.  An expansion holds
+them as exact python ints only while q_k has at most `sl2.EXACT_BITS`
+bits, the largest exact power the bridge certificate forms, and log q_k
+for the whole depth; q_k has about 0.69 k bits at golden, so a full list
+to depth n would cost about 0.35 n^2 bits.  The products beta_n are kept
+both as floats and in log domain because they underflow quickly.
 
-mpmath is imported on first use, by the float/decimal branch of `expand`,
+mpmath is imported on first use, by the float/mpf branch of `expand`,
 `CfExpansion.alpha_mp`, `norm_dist`, the best-approximation check and
-`check_diophantine`; symbolic and rational expansions and the bridge
-selection never load it.
+`check_diophantine`; symbolic, rational and decimal-string expansions and
+the bridge selection never load it.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class CfExpansion:
         return self.p[k], self.q[k]
 
     def alpha_mp(self, prec: int = 256):
-        """alpha as an mpf, at `prec` bits for a rational or symbolic input and as read for a decimal."""
+        """alpha as an mpf: at `prec` bits for a rational or symbolic input, else as expanded."""
         import mpmath as mp
 
         with mp.workprec(prec):
@@ -286,10 +286,11 @@ def expand(alpha, n_max: int = 40, prec: int = 256) -> CfExpansion:
     """Continued-fraction expansion of alpha in (0,1).
 
     `alpha` may be a float/mpf, a Fraction, a string "p/q" or a decimal
-    string, or one of the symbolic tokens "golden", "sqrt2m1" (whose
-    quotient streams are generated exactly to any depth).  Raises
-    PrecisionExhausted if the Gauss-map tail drops below the working epsilon
-    before n_max steps without terminating exactly.
+    string (read exactly, as a Fraction: "0.3" is 3/10), or one of the
+    symbolic tokens "golden", "sqrt2m1" (whose quotient streams are
+    generated exactly to any depth).  Raises PrecisionExhausted if the
+    Gauss-map tail of a float or mpf drops below the working epsilon before
+    n_max steps without terminating exactly.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -297,14 +298,11 @@ def expand(alpha, n_max: int = 40, prec: int = 256) -> CfExpansion:
         tok = alpha.strip().lower()
         if tok in SYMBOLIC:
             return _expand_symbolic(tok, n_max)
-        if "/" in tok:
-            return _expand_rational(Fraction(tok), n_max)
+        return _expand_rational(Fraction(tok), n_max)  # "p/q" or a decimal, read exactly
     if isinstance(alpha, Fraction):
         return _expand_rational(alpha, n_max)
     import mpmath as mp
 
-    if isinstance(alpha, str):
-        alpha = mp.mpf(alpha)  # a decimal string, read at mpmath's default precision
     with mp.workprec(max(prec, 256)):
         x = mp.mpf(alpha)
         if not 0 < x < 1:

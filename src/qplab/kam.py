@@ -21,6 +21,7 @@ import numpy as np
 from . import sl2
 from .contfrac import BridgeSelection
 from .udspace import (
+    AliasingError,
     FourierSeries,
     Modulus,
     _grid_size,
@@ -40,6 +41,10 @@ class NewtonDivergence(Exception):
 
 class HypothesisViolated(Exception):
     """A smallness hypothesis of the step was not met (soft failure)."""
+
+
+class SelectionExhausted(Exception):
+    """The bridge selection has no level past the current one."""
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +299,16 @@ class KamState:
     ln_r: float
     ln_rbar: float
     log_eps_measured: float
-    conj: Optional[FourierSeries] = None  # accumulated conjugation as a series
+    conj: Optional[FourierSeries] = None  # accumulated conjugation B, held at K_work
     meta: dict = field(default_factory=dict)
 
     def cocycle_series(self) -> FourierSeries:
         rot_arg = FourierSeries(self.g.coeffs / (2.0 * math.pi), True) + FourierSeries.constant(
             self.rho_f
         )
-        R = rotation_series(rot_arg, out_K=4 * max(self.g.K, self.F.K, 1) + 8)
+        R = rotation_series(rot_arg, out_K=max(self.g.K, self.F.K, 1) + 8)
         E = self.F.exp_map(out_K=R.K)
-        return R.mat_mul(E, out_K=R.K, tail_tol=None)
+        return R.mat_mul(E, out_K=R.K)
 
 
 def _rot_conj_series(F: FourierSeries, v: FourierSeries, sign: float, out_K: int) -> FourierSeries:
@@ -332,7 +337,7 @@ def kam_step(
     """
     n = state.level
     if n + 1 >= sel.levels():
-        raise IndexError("bridge selection exhausted; extend the expansion")
+        raise SelectionExhausted("bridge selection exhausted; extend the expansion")
     lqb = sel.log_Qbar()
     alpha, rho_f = state.alpha, state.rho_f
     ln_r0 = state.meta.get("ln_r0", state.ln_r)
@@ -402,11 +407,9 @@ def kam_step(
     Phi_vals = Rv @ sl2.sl2_exp(Y_vals) @ Rvinv
     # Phi_n - I = e^{v J} (exp(Y) - I) e^{-v J}, so the distance is not floored at eps
     Psi_dev_norm = float(np.max(sl2.frob(Rv @ sl2.sl2_expm1(Y_vals) @ Rvinv)))
-    if conj is not None:
-        conj_vals = Phi_vals @ conj.values(Gc)
-        conj = FourierSeries.from_values(conj_vals, min(conj.K + K_work, 4 * K_work), True, tail_tol=None)
-    else:
-        conj = FourierSeries.from_values(Phi_vals, K_work, True, tail_tol=None)
+    # B = Phi_n ... Phi_1 is held at K_work; the default guard refuses a product that outgrows it
+    conj = FourierSeries.from_values(Phi_vals if conj is None else Phi_vals @ conj.values(Gc),
+                                     K_work, True)
 
     meta = dict(state.meta)
     meta.update(
@@ -484,7 +487,10 @@ def almost_reducibility_driver(
     """Iterate kam_step from (alpha, A0), recording a ledger per level.
 
     Stops at `steps`, at perturbations below exp(-745) (the float64
-    underflow), or at the first hypothesis violation (reported, not fatal).
+    underflow), or at the first hypothesis violation, resonance, exhausted
+    bridge selection or series that outgrows its band (reported in
+    `stop_reason`, not fatal); `state` is then the last level with a ledger
+    entry.
     """
     K_work = max(K_work, A0.K + 8)
     R = rotation_series(FourierSeries.constant(rho_f), out_K=2)
@@ -497,11 +503,13 @@ def almost_reducibility_driver(
     stop_reason = f"completed {steps} steps"
     for _ in range(steps):
         try:
-            state = kam_step(state, sel, M, K_work=K_work)
-        except (HypothesisViolated, NewtonDivergence, ExactResonance, IndexError) as exc:
+            nxt = kam_step(state, sel, M, K_work=K_work)
+            residual = conjugation_residual(nxt, A0)
+        except (HypothesisViolated, NewtonDivergence, ExactResonance, SelectionExhausted,
+                AliasingError) as exc:
             stop_reason = f"stopped at level {state.level}: {exc}"
             break
-        residual = conjugation_residual(state, A0)
+        state = nxt
         entry = {
             "level": state.level,
             "log_eps_measured": state.log_eps_measured,

@@ -55,11 +55,17 @@ def test_exit_code_error(tmp_path):
 
 
 def test_decimal_alpha_on_the_alpha_only_commands(tmp_path):
-    # these read alpha alone, so a terminating decimal is never expanded past its end
+    # these read alpha alone; a decimal is read exactly, here as 3/10
     for argv, codes in ((["lyapunov", "--alpha", "0.3", "--n", "8"], {0}),
                         (["rotnum", "--alpha", "0.3", "--n", "1000"], {0}),
                         (["dioph", "--alpha", "0.3"], {0, 2})):
         assert main(argv + ["--out-dir", str(tmp_path / argv[0])]) in codes, argv
+
+
+def test_decimal_alpha_expands_as_its_fraction(tmp_path):
+    assert main(["cf", "--alpha", "0.3", "--depth", "10", "--out-dir", str(tmp_path / "d")]) == 0
+    assert main(["cf", "--alpha", "3/10", "--depth", "10", "--out-dir", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "d" / "cf.json").read_bytes() == (tmp_path / "f" / "cf.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["cf", "--bogus"], ["cf", "--depth", "x"],
@@ -91,6 +97,23 @@ def test_kam_run_in_ultradifferentiable_classes(argv, tmp_path):
     ledger = [json.loads(line) for line in (tmp_path / "kam_run.jsonl").read_text().splitlines()]
     assert [e["level"] for e in ledger] == [1, 2]
     assert max(e["residual"] for e in ledger) <= 1e-8
+
+
+def test_kam_commands_name_their_stop_reason(tmp_path, capsys):
+    # stderr is outside the artifact set: the ledgers are those of the runs that stop there
+    assert main(["kam-run", "--steps", "4", "--out-dir", str(tmp_path / "4")]) == 2
+    assert "stopped at level 3: bridge selection exhausted" in capsys.readouterr().err
+    assert main(["kam-run", "--steps", "3", "--out-dir", str(tmp_path / "3")]) == 0
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "4" / "kam_run.jsonl").read_bytes()
+            == (tmp_path / "3" / "kam_run.jsonl").read_bytes())
+    # 2 rho = alpha is a resonance, so both commands stop before level 1
+    for argv, name in ((["kam-run", "--steps", "3"], "kam_run.jsonl"),
+                       (["kam-step"], "kam_step.jsonl")):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--rho", "0.3090169943749474", "--out-dir", str(out)]) == 2
+        assert "stopped at level 0: nre divisor below 1e-14" in capsys.readouterr().err
+        assert (out / name).read_text() == ""
 
 
 def test_norms_follow_the_modulus(tmp_path):

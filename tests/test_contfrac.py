@@ -160,11 +160,19 @@ def test_safe_log_ints_is_safe_log_int_per_entry():
         safe_log_ints([3, 0])
 
 
-def test_decimal_expansion_and_dioph_load_mpmath(tmp_path):
-    assert fresh_modules('from qplab.contfrac import expand; expand("0.37281911", 20)',
+def test_float_expansion_and_dioph_load_mpmath(tmp_path):
+    assert fresh_modules("from qplab.contfrac import expand; expand(0.37281911, 20)",
                          {"mpmath"}) == ["mpmath"]
     argv = ["dioph", "--alpha", "golden", "--K", "50", "--out-dir", str(tmp_path)]
     assert fresh_modules(f"from qplab.cli import main; main({argv!r})", {"mpmath"}) == ["mpmath"]
+
+
+def test_decimal_alpha_is_read_exactly():
+    # at 53 bits "0.3" was the double below 3/10, whose expansion runs [0, 3, 2, 1, ...]
+    assert expand("0.3", 3).a == [0, 3, 3]
+    assert expand("0.37281911", 20).to_json() == expand("37281911/100000000", 20).to_json()
+    assert fresh_modules('from qplab.contfrac import expand; expand("0.37281911", 20)',
+                         {"mpmath"}) == []
 
 
 def test_expand_deterministic():

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_real_series
-from qplab import contfrac
+from qplab import contfrac, sl2
 from qplab.kam import (
     ExactResonance,
     HypothesisViolated,
     KamState,
+    SelectionExhausted,
     Su11Series,
     almost_reducibility_driver,
     coefficient_bound_ok,
@@ -143,8 +145,8 @@ def test_driver_three_steps_decrease(deep_selection, rng):
     assert all(e["residual"] <= 1e-8 for e in out["ledger"])
 
 
-def test_driver_phi_dist_not_floored_by_rounding():
-    # the c08 cocycle at A = 5: levels 3-4 have ||Phi_n - I|| far below eps
+def _c08_cocycle():
+    """The c08 cocycle and its bridge selection at A = 5, which allows 4 levels."""
     rng = np.random.default_rng(41)
     sel = contfrac.select_bridges(contfrac.expand("golden", 3000), 5.0)
     x, y, z = (random_real_series(rng, 10, amp=1e-3, decay=0.5) for _ in range(3))
@@ -152,6 +154,12 @@ def test_driver_phi_dist_not_floored_by_rounding():
     A0 = rotation_series(FourierSeries.constant(0.25), out_K=2).mat_mul(
         F.exp_map(out_K=30), out_K=34, tail_tol=None
     )
+    return sel, A0
+
+
+def test_driver_phi_dist_not_floored_by_rounding():
+    # the c08 cocycle at A = 5: levels 3-4 have ||Phi_n - I|| far below eps
+    sel, A0 = _c08_cocycle()
     out = almost_reducibility_driver(GOLDEN, A0, 0.25, MA, sel, steps=4)
     dist = [e["phi_dist"] for e in out["ledger"]]
     assert len(dist) == 4
@@ -200,3 +208,60 @@ def test_rotation_number_invariant_under_step(deep_selection, rng):
     final = out["state"].cocycle_series()
     r1 = rotation_number(QpCocycle.from_series(GOLDEN, final), n=120_000)
     assert rho_dist(r0["rho"], r1["rho"]) <= r0["error_bar"] + r1["error_bar"] + 1e-9
+
+
+@pytest.mark.parametrize("K_work", [48, 96])
+def test_conjugation_held_at_the_working_band(deep_selection, rng, K_work):
+    """B stays at K_work and R e^F at max(K_g, K_F) + 8, and both agree with the untrimmed ones.
+
+    Untrimmed, B is the exact product Phi_3 Phi_2 Phi_1 of band 3 K_work, each Phi_n taken
+    from a step of the same state without its accumulated conjugation, and R e^F is built
+    at 4 max(K_g, K_F) + 8 without a tail guard.
+    """
+    cf, sel = deep_selection
+    A0 = _small_cocycle(rng, 0.25)
+    runs = [almost_reducibility_driver(GOLDEN, A0, 0.25, MA, sel, steps=n, K_work=K_work)
+            for n in range(4)]
+    st = runs[-1]["state"]
+    assert st.level == 3 and st.conj.K == K_work
+    target = st.cocycle_series()
+    assert target.K == max(st.g.K, st.F.K) + 8
+    assert all(e["residual"] <= 1e-14 for e in runs[-1]["ledger"])
+
+    B = None
+    for run in runs[:-1]:
+        Phi = kam_step(dataclasses.replace(run["state"], conj=None), sel, MA, K_work=K_work).conj
+        B = Phi if B is None else Phi.mat_mul(B, tail_tol=None)
+    assert B.K == 3 * K_work
+    K = 4 * max(st.g.K, st.F.K) + 8
+    rot_arg = FourierSeries(st.g.coeffs / (2.0 * math.pi), True) + FourierSeries.constant(0.25)
+    wide = rotation_series(rot_arg, out_K=K).mat_mul(st.F.exp_map(out_K=K), out_K=K,
+                                                     tail_tol=None)
+    for held, untrimmed in ((st.conj, B), (target, wide)):
+        assert np.max(sl2.frob(held.values(997) - untrimmed.values(997))) <= 1e-14
+
+
+def test_conjugation_band_bounded_at_every_level():
+    sel, A0 = _c08_cocycle()
+    st = almost_reducibility_driver(GOLDEN, A0, 0.25, MA, sel, steps=0)["state"]
+    bands = []
+    while st.level + 1 < sel.levels():
+        st = kam_step(st, sel, MA, K_work=48)
+        bands.append(st.conj.K)
+    assert bands == [48] * 4
+    with pytest.raises(SelectionExhausted):
+        kam_step(st, sel, MA, K_work=48)
+
+
+def test_driver_reports_a_series_that_outgrows_its_band(deep_selection):
+    # R_{1/4} [[1, s], [0, 1]], s = 0.01 cos(2 pi 12 theta), is an exact SL(2,R) trigonometric
+    # polynomial of degree 14, but its level-1 step conjugation has 6.8e-13 of its mass past
+    # K_work = 48; truncated there without the guard, the level's residual reads 4.2e-12
+    cf, sel = deep_selection
+    s = FourierSeries(np.array([0.005] + [0.0] * 23 + [0.005], dtype=complex), True)
+    one = FourierSeries.constant(1.0).pad_to(12)
+    shear = MatSeries.from_entries(one, s, FourierSeries.zero(12), one)
+    A0 = rotation_series(FourierSeries.constant(0.25), out_K=2).mat_mul(shear, out_K=14)
+    out = almost_reducibility_driver(GOLDEN, A0, 0.25, MA, sel, steps=3)
+    assert out["ledger"] == [] and out["state"].level == 0
+    assert out["stop_reason"].startswith("stopped at level 0: tail mass")
