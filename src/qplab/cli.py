@@ -293,6 +293,9 @@ def cmd_ids(lam, q, p, grid, out_dir) -> int:
             rows.append((float(E), spectra.ids(V, p, q, float(E), bands=bands)))
         except spectra.BandIndexAmbiguous:
             continue
+    if len(rows) < grid:
+        print(f"ids: skipped {grid - len(rows)} of {grid} energies whose band index is ambiguous",
+              file=sys.stderr)
     _write(out_dir, "ids.csv", _csv(rows, ["E", "N"]))
     return EXIT_OK
 
@@ -358,6 +361,10 @@ def cmd_avalanche(out_dir) -> int:
 def cmd_seqs(alpha, depth, levels, out_dir) -> int:
     e = contfrac.expand(alpha, max(depth, 250))
     out = ldt.induction_sequences(e, ldt.LdtScales(), s_max=levels, q0_min=10**5)
+    if out["exhausted_at"] is not None:
+        print(f"seqs: the expansion to depth {e.depth()} has no convergent for level "
+              f"{out['exhausted_at']}; seqs.csv stops at level {out['exhausted_at'] - 1}",
+              file=sys.stderr)
     rows = [
         (t["s"], str(t["q_tilde"]), t["log_N"], t["log_m"], t["window_ok"], t["sandwich_ok"])
         for t in out["terms"]

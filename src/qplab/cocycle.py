@@ -8,7 +8,7 @@ integer n (n < 0 by the inverse-product convention) at any set of phases.
 
 The rotation number reads each projective step through a lift of the fiber
 that is continuous in theta: the angle of A(theta) e_1, unwrapped on a
-reference grid, which `QpCocycle.winding` certifies to close up.  Orbits
+reference grid, which `rotation_number` certifies to close up.  Orbits
 evaluate the fiber in blocks of at most 4096 points rather than one step at
 a time; a series fiber reads each block off one shared phase block of at
 most 2^16 entries (up to 1024 modes), and a real one sums over k >= 0 only.
@@ -33,7 +33,7 @@ from .contfrac import CfExpansion
 from .udspace import FourierSeries
 
 RESCALE_EVERY = sl2._CHUNK  # every chunk length divides it
-_LIFT_GRID = 256  # reference grid of the e_1 lift that winding() certifies
+_LIFT_GRID = 256  # reference grid of the e_1 lift, whose winding rotation_number reads
 _CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
 _PHASE_ENTRIES = 1 << 16  # most entries of the shared phase block of a series orbit (1 MB)
 
@@ -73,20 +73,10 @@ class QpCocycle:
     def __call__(self, theta):
         return self.fiber(np.asarray(theta, dtype=float))
 
-    def check_sl2(self) -> bool:
-        """|det A(theta) - 1| <= 1e-10 on a 256-point theta grid."""
-        vals = self.fiber(np.arange(256) / 256)
-        return bool(np.max(np.abs(sl2.det2(vals) - 1.0)) <= 1e-10)
-
     def _e1_lift(self) -> np.ndarray:
         """Angle of A(theta) e_1 in units of pi at theta = j/256, j = 0..256, unwrapped in theta."""
         vals = self.fiber(np.arange(_LIFT_GRID + 1) / _LIFT_GRID)
         return np.unwrap(np.arctan2(vals[..., 1, 0], vals[..., 0, 0])) / np.pi
-
-    def winding(self) -> int:
-        """Winding number of theta -> direction of A(theta) e_1."""
-        lift = self._e1_lift()
-        return int(round((lift[-1] - lift[0]) / 2.0))
 
 
 def schrodinger(V: FourierSeries, E: float, alpha: float = 0.0) -> QpCocycle:
@@ -297,8 +287,8 @@ def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
     fiber has winding 0, and LiftResolutionError where an orbit angle is a
     quarter turn or more from its reference lift.
 
-    Returns {"rho", "error_bar", "history"}; error_bar is the maximal
-    fluctuation of the partial averages over the last decade of the orbit.
+    Returns {"rho", "error_bar"}; error_bar is the maximal fluctuation of the
+    partial averages over the last decade of the orbit.
     """
     lift = c._e1_lift()
     w = int(round((lift[-1] - lift[0]) / 2.0))
@@ -308,7 +298,7 @@ def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
     vec = np.array([math.cos(math.pi * 0.3), math.sin(math.pi * 0.3)])
     x = math.atan2(vec[1], vec[0]) / math.pi % 1.0
     total = 0.0
-    checkpoints = []
+    averages = []  # at the powers of two from n // 10 on, and at n
     j = 0
     for thetas, mats in _orbit_fibers(c, 0.0, n):
         m = len(mats)
@@ -328,14 +318,13 @@ def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
         totals = np.cumsum(np.concatenate(([total], d)))[1:]
         js = np.arange(j + 1, j + m + 1)
         keep = (js >= n // 10) & ((js & (js - 1)) == 0) | (js == n)
-        checkpoints += [(int(k), float(t) / int(k)) for k, t in zip(js[keep], totals[keep])]
+        averages += [float(t) / int(k) for k, t in zip(js[keep], totals[keep])]
         total, x, j = float(totals[-1]), float(xs[-1]), j + m
         vec = vecs[-1] / math.hypot(vecs[-1, 0], vecs[-1, 1])
     avg = total / n
-    tail = [abs(v - avg) for (jj, v) in checkpoints if jj >= n // 10]
-    err = max(tail) if tail else 0.0
+    err = max((abs(v - avg) for v in averages), default=0.0)
     rho = (avg / 2.0) % 0.5
-    return {"rho": rho, "error_bar": err / 2.0, "history": checkpoints}
+    return {"rho": rho, "error_bar": err / 2.0}
 
 
 def rho_dist(a: float, b: float) -> float:
@@ -344,7 +333,7 @@ def rho_dist(a: float, b: float) -> float:
     return min(d, 0.5 - d)
 
 
-def renorm_iterates(c: QpCocycle, cf: CfExpansion, n: int, theta_star: float = 0.0) -> dict:
+def renorm_iterates(c: QpCocycle, cf: CfExpansion, n: int) -> dict:
     """Rescaled renormalization iterates at level n.
 
     Both maps live on [0, 1/beta_{n-1}] and satisfy the commutation identity
@@ -360,7 +349,7 @@ def renorm_iterates(c: QpCocycle, cf: CfExpansion, n: int, theta_star: float = 0
 
     def iterate(steps):
         def a(x):
-            pts = theta_star + beta * (np.atleast_1d(np.asarray(x, dtype=float)) - theta_star)
+            pts = beta * np.atleast_1d(np.asarray(x, dtype=float))
             mats, log_scale = _transfer_grid(c, pts, steps)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = mats * np.exp(log_scale)[:, None, None]
@@ -373,7 +362,7 @@ def renorm_iterates(c: QpCocycle, cf: CfExpansion, n: int, theta_star: float = 0
 
     q_prev, q_n = cf.convergent(n - 1)[1], cf.convergent(n)[1]
     return {"A_n0": iterate(sgn0 * q_prev), "A_n1": iterate(-sgn0 * q_n),
-            "alpha_n": alpha_n, "period": 1.0 / beta, "level": n}
+            "alpha_n": alpha_n, "level": n}
 
 
 def commutation_residual(it: dict, xs: np.ndarray) -> float:

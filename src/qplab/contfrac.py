@@ -367,18 +367,6 @@ class BridgeSelection:
     idx: list
     exhausted: bool = False
 
-    @property
-    def Q(self) -> list:
-        return [self.cf.convergent(i)[1] for i in self.idx]
-
-    @property
-    def Qbar(self) -> list:
-        return [self.cf.convergent(i + 1)[1] for i in self.idx]
-
-    @property
-    def P(self) -> list:
-        return [self.cf.convergent(i)[0] for i in self.idx]
-
     def levels(self) -> int:
         return len(self.idx)
 

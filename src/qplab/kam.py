@@ -57,7 +57,7 @@ def solve_cohomological(g: FourierSeries, alpha: float, Q: float) -> dict:
 
     Returns v, the l1 residual of the equation (evaluated in the coefficient
     domain, where the divisor cancellation is exact to rounding), and the
-    largest amplification |vhat| / |ghat|.
+    smallest divisor.
     """
     if not g.check_real(1e-9):
         raise ValueError("cohomological data must be real-valued")
@@ -70,12 +70,9 @@ def solve_cohomological(g: FourierSeries, alpha: float, Q: float) -> dict:
     v = np.zeros_like(g.coeffs)
     v[inside] = -g.coeffs[inside] / d[inside]
     res = np.abs(v[inside] * d[inside] + g.coeffs[inside])
-    amp = np.abs(v[inside]) / np.maximum(np.abs(g.coeffs[inside]), 1e-300)
-    vser = FourierSeries(v, real_flag=True)
     return {
-        "v": vser,
+        "v": FourierSeries(v, real_flag=True),
         "residual": float(np.sum(res)),
-        "max_amplification": float(np.max(amp)) if np.any(inside) else 0.0,
         "divisor_floor": float(np.min(np.abs(d[inside]))) if np.any(inside) else math.inf,
     }
 
@@ -107,13 +104,6 @@ class Su11Series:
     @property
     def K(self) -> int:
         return max(self.t.K, self.v.K)
-
-    @classmethod
-    def zero(cls, K: int = 0) -> "Su11Series":
-        return cls(FourierSeries.zero(K), FourierSeries.zero(K, real_flag=False))
-
-    def __add__(self, other: "Su11Series") -> "Su11Series":
-        return Su11Series(self.t + other.t, self.v + other.v)
 
     def scale(self, c: float) -> "Su11Series":
         return Su11Series(self.t * c, self.v * c)
@@ -183,14 +173,15 @@ def homotopy_conjugate(
     Q_half: float,
     M: Modulus,
     ln_r: float,
-    enforce_hypothesis: bool = True,
 ) -> dict:
     """Find Y in the non-resonant space with e^{Y(.+a)} A e^{g} e^{-Y} = A e^{g_re}.
 
     A = diag(e^{-2 pi i rho}, e^{2 pi i rho}).  The functional
     F(Y) = P_nre log(e^{A^{-1} Y(.+a) A} e^{g} e^{-Y}) is driven to zero by a
     damped Newton iteration whose linearization at 0 is diagonal in Fourier
-    with divisors e^{2 pi i (2 rho + k alpha)} - 1.
+    with divisors e^{2 pi i (2 rho + k alpha)} - 1.  The smallness hypothesis
+    ||g|| <= divisor_floor^2 / 64 is measured and returned as hypothesis_ok,
+    not enforced.
     """
     K = max(g.K, 4)
     ks = np.arange(-K, K + 1)
@@ -201,15 +192,12 @@ def homotopy_conjugate(
         raise ExactResonance("nre divisor below 1e-14")
     ln_g = g.log_norm(M, ln_r)
     hyp_ok = ln_g <= 2.0 * math.log(floor) - math.log(64.0)
-    if enforce_hypothesis and not hyp_ok:
-        raise HypothesisViolated(
-            f"||g|| (log {ln_g:.2f}) above divisor_floor^2/64 (floor {floor:.3e})"
-        )
 
     G = _grid_size(4 * K + 8)
     g_t_vals = np.real(g.t.pad_to(K).values(G))
     g_v_vals = g.v.pad_to(K).values(G)
     ph4 = np.exp(4j * np.pi * rho)
+    e2 = _exp_su_vals(g_t_vals, g_v_vals)
 
     def f_of(y_coeffs: np.ndarray):
         """F(Y) coefficients on the nre modes, plus the full log grids."""
@@ -217,7 +205,6 @@ def homotopy_conjugate(
         y_vals = ys.values(G)
         yshift_vals = ys.shift(alpha).values(G) * ph4  # A^{-1} Y(.+a) A, v-part
         e1 = _exp_su_vals(np.zeros(G), yshift_vals)
-        e2 = _exp_su_vals(g_t_vals, g_v_vals)
         e3 = _exp_su_vals(np.zeros(G), -y_vals)
         p = _mul_su(_mul_su(e1, e2), e3)
         t_log, v_log = _log_su_vals(p)
@@ -286,6 +273,8 @@ def homotopy_conjugate(
 # one KAM step and the driver
 # ---------------------------------------------------------------------------
 
+_R0 = 0.5  # the initial width r0; the first step works at the full width 2 r0 = 1
+
 
 @dataclass
 class KamState:
@@ -340,7 +329,7 @@ def kam_step(
         raise SelectionExhausted("bridge selection exhausted; extend the expansion")
     lqb = sel.log_Qbar()
     alpha, rho_f = state.alpha, state.rho_f
-    ln_r0 = state.meta.get("ln_r0", state.ln_r)
+    ln_r0 = math.log(_R0)
 
     # -- (i) remove the oscillating part of g_n ------------------------------
     g_n = state.g
@@ -366,8 +355,7 @@ def kam_step(
     W = sl2_to_su(Ftilde).hermitize()
     ln_qb_next = lqb[n + 1]
     Q_half = math.exp(0.5 * ln_qb_next) if 0.5 * ln_qb_next < 700 else math.inf
-    hres = homotopy_conjugate(rho_f, W, alpha, Q_half, M, state.ln_rbar,
-                              enforce_hypothesis=False)
+    hres = homotopy_conjugate(rho_f, W, alpha, Q_half, M, state.ln_rbar)
     Y, W_re = hres["Y"], hres["g_re"]
     Q_next = math.exp(ln_qb_next) if ln_qb_next < 700 else math.inf
     f_t = W_re.t
@@ -414,7 +402,6 @@ def kam_step(
     meta = dict(state.meta)
     meta.update(
         {
-            "ln_r0": ln_r0,
             "cohom_residual": cohom_residual,
             "newton_iterations": hres["iterations"],
             "newton_residual": hres["residual"],
@@ -438,16 +425,8 @@ def kam_step(
     )
 
 
-def initial_state(
-    alpha: float,
-    rho_f: float,
-    F: FourierSeries,
-    M: Modulus,
-    sel: BridgeSelection,
-    r0: float = 0.5,
-) -> KamState:
-    ln_r0 = math.log(r0)
-    ln_rbar0 = math.log(2.0 * r0)  # first step works at the full width r = 2 r0
+def initial_state(alpha: float, rho_f: float, F: FourierSeries, M: Modulus) -> KamState:
+    ln_rbar0 = math.log(2.0 * _R0)  # first step works at the full width r = 2 r0
     return KamState(
         level=0,
         alpha=alpha,
@@ -457,7 +436,6 @@ def initial_state(
         ln_r=ln_rbar0,
         ln_rbar=ln_rbar0,
         log_eps_measured=log_norm_mr_ln(F, M, ln_rbar0),
-        meta={"ln_r0": ln_r0},
     )
 
 
@@ -497,8 +475,7 @@ def almost_reducibility_driver(
     G = _grid_size(4 * max(A0.K, K_work))
     dev = sl2.rot(-rho_f)[None, :, :] @ (A0 - R).values(G)
     F0 = FourierSeries.from_values(sl2.sl2_log_dev(dev), K_work, True, tail_tol=None)
-    r0 = 0.5  # the first step works at the full width 2 r0 = 1
-    state = initial_state(alpha, rho_f, F0, M, sel, r0)
+    state = initial_state(alpha, rho_f, F0, M)
     ledger = []
     stop_reason = f"completed {steps} steps"
     for _ in range(steps):

@@ -30,10 +30,6 @@ class ScalesInvalid(Exception):
 class CfExhausted(Exception):
     """The expansion is too shallow for the next induction scale."""
 
-    def __init__(self, msg, deepest=None):
-        super().__init__(msg)
-        self.deepest = deepest
-
 
 # ---------------------------------------------------------------------------
 # Fejer kernels
@@ -282,16 +278,9 @@ def avalanche_check(mats: list, mu: float) -> dict:
         log_scale += math.log(s)
     ln_prod = math.log(float(sl2.op_norm(acc))) + log_scale
     lhs = abs(ln_prod + float(np.sum(ln_norms[1 : n - 1])) - float(np.sum(pair_ln)))
-    hyp_norms = bool(np.min(norms) >= mu > n)
     canc = np.abs(ln_norms[:-1] + ln_norms[1:] - pair_ln)
-    hyp_cancel = bool(np.max(canc) < 0.5 * math.log(mu))
-    return {
-        "lhs": lhs,
-        "rhs_unit": n / mu,
-        "hypothesis_ok": hyp_norms and hyp_cancel,
-        "hyp_norms": hyp_norms,
-        "hyp_cancel": hyp_cancel,
-    }
+    hyp_ok = bool(np.min(norms) >= mu > n and np.max(canc) < 0.5 * math.log(mu))
+    return {"lhs": lhs, "rhs_unit": n / mu, "hypothesis_ok": hyp_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +336,7 @@ def induction_sequences(cf: CfExpansion, scales: LdtScales, s_max: int,
     while start <= cf.depth() and cf.convergent(start)[1] < q0_min:
         start += 1  # a log tie below q0_min
     if start > cf.depth():
-        raise CfExhausted("no convergent reaches the requested starting scale", deepest=-1)
+        raise CfExhausted("no convergent reaches the requested starting scale")
 
     def mult(qt: int) -> int:
         lq = safe_log_int(qt)
@@ -377,7 +366,7 @@ def induction_sequences(cf: CfExpansion, scales: LdtScales, s_max: int,
         thr_ln = math.exp(expo) if expo < 700 else math.inf
         i = bisect.bisect_right(lq, thr_ln)
         if i > cf.depth():
-            return {"terms": terms, "exhausted_at": s, "deepest": s - 1}
+            return {"terms": terms, "exhausted_at": s}
         nxt = cf.convergent(i)[1]
         m = mult(nxt)
         ln_m = safe_log_int(nxt) + math.log(m)
@@ -400,7 +389,7 @@ def induction_sequences(cf: CfExpansion, scales: LdtScales, s_max: int,
             }
         )
         qt = nxt
-    return {"terms": terms, "exhausted_at": None, "deepest": s_max}
+    return {"terms": terms, "exhausted_at": None}
 
 
 def _window_ok(scales: LdtScales, qt: int, logN: float) -> bool:

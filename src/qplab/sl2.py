@@ -24,10 +24,6 @@ IDENT = np.eye(2)
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def mat(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=float)
-
-
 def rot(g):
     """R_g = exp(-2*pi*g*J), counterclockwise rotation by angle 2*pi*g.
 

@@ -57,7 +57,6 @@ class Modulus:
     kind: str
     param: float = 0.0
     generator: Callable[[float], float] = field(init=False)
-    _cm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind == "analytic":
@@ -97,27 +96,16 @@ class Modulus:
 
     def _sup_ratio(self, gap: int) -> float:
         """sup over s <= 400 of 2^{-s} M_{s+gap} / M_s, with a stabilization check."""
-        key = ("ratio", gap)
-        if key in self._cm_cache:
-            return self._cm_cache[key]
         s = np.arange(401, dtype=float)
         vals = self.log_m(s + gap) - self.log_m(s) - s * math.log(2.0)
-        best = float(np.max(vals))
         if int(np.argmax(vals)) > 390:
-            raise ScanCapExceeded("C_M/c_M supremum did not stabilize below s=400")
-        out = math.exp(best)
-        self._cm_cache[key] = out
-        return out
+            raise ScanCapExceeded(f"sup of 2^-s M_(s+{gap})/M_s did not stabilize below s=400")
+        return math.exp(float(np.max(vals)))
 
     @property
     def C_M(self) -> float:
         """sup_s 2^{-s} M_{s+1}/M_s (Cauchy-estimate constant)."""
         return self._sup_ratio(1)
-
-    @property
-    def c_M(self) -> float:
-        """sup_s 2^{-s} M_{s+2}/M_s (norm-comparison constant)."""
-        return self._sup_ratio(2)
 
     def check_h1_h2(self) -> dict:
         """Sampled log-convexity (strict) and sub-exponential growth for s <= 200."""
@@ -482,13 +470,6 @@ class FourierSeries:
         """Sum of all coefficient magnitudes; bounds the sup norm of every entry."""
         return float(np.sum(np.abs(self.coeffs)))
 
-    def sup_grid(self) -> float:
-        """Grid max of |f|; of the operator norm (real) or Frobenius norm for a 2x2 series."""
-        vals = self.values()
-        if self.coeffs.ndim == 1:
-            return float(np.max(np.abs(vals)))
-        return float(np.max(sl2.op_norm(vals) if self.real_flag else sl2.frob(vals)))
-
     def check_real(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coeffs - np.conj(self.coeffs[..., ::-1]))) <= tol * max(1.0, self.l1()))
 
@@ -503,11 +484,6 @@ class FourierSeries:
         b = other.values(G)
         return FourierSeries.from_values(a @ b, out_K, self.real_flag and other.real_flag, tail_tol)
 
-    def inv_det1(self) -> "FourierSeries":
-        """Pointwise inverse assuming det = 1 (adjugate, exact on coefficients)."""
-        adj = sl2.inv_det1(np.moveaxis(self.coeffs, -1, 0))
-        return FourierSeries(np.moveaxis(adj, 0, -1), self.real_flag)
-
     def exp_map(self, out_K: Optional[int] = None, tail_tol: Optional[float] = 1e-13) -> "FourierSeries":
         """exp of an sl(2)-valued series, evaluated on the grid."""
         out_K = out_K if out_K is not None else self.K
@@ -521,10 +497,6 @@ class FourierSeries:
         G = _grid_size(max(out_K, 2 * self.K))
         lv = sl2.sl2_log(self.values(G))
         return FourierSeries.from_values(lv, out_K, self.real_flag, tail_tol)
-
-    def det_drift(self) -> float:
-        vals = self.values()
-        return float(np.max(np.abs(sl2.det2(vals) - 1.0)))
 
 
 # A second name for the same type, kept because the tests and perfbench (its

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from conftest import fresh_modules
+from qplab import spectra
 from qplab.cli import main
 from qplab.spectra import ResolutionWarning
 
@@ -114,6 +115,35 @@ def test_kam_commands_name_their_stop_reason(tmp_path, capsys):
         assert main(argv + ["--rho", "0.3090169943749474", "--out-dir", str(out)]) == 2
         assert "stopped at level 0: nre divisor below 1e-14" in capsys.readouterr().err
         assert (out / name).read_text() == ""
+
+
+def test_seqs_names_the_level_it_cannot_reach(tmp_path, capsys):
+    # golden to depth 250 holds two induction levels; the third is named on stderr, and the
+    # exit code and the bytes stay those of --levels 2
+    assert main(["seqs", "--levels", "2", "--out-dir", str(tmp_path / "2")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["seqs", "--levels", "3", "--out-dir", str(tmp_path / "3")]) == 0
+    assert "no convergent for level 3" in capsys.readouterr().err
+    assert (tmp_path / "3" / "seqs.csv").read_bytes() == (tmp_path / "2" / "seqs.csv").read_bytes()
+
+
+def test_ids_counts_the_energies_it_skips(tmp_path, capsys, monkeypatch):
+    argv = ["ids", "--q", "3", "--lam", "0.5", "--grid", "16"]
+    assert main(argv + ["--out-dir", str(tmp_path / "all")]) == 0
+    assert capsys.readouterr().err == ""
+    ids, skipped = spectra.ids, []
+
+    def ambiguous_once(V, p, q, E, bands=None):
+        if not skipped:
+            skipped.append(E)
+            raise spectra.BandIndexAmbiguous(f"E = {E}")
+        return ids(V, p, q, E, bands=bands)
+
+    monkeypatch.setattr(spectra, "ids", ambiguous_once)
+    assert main(argv + ["--out-dir", str(tmp_path / "one")]) == 0
+    assert "skipped 1 of 16 energies" in capsys.readouterr().err
+    rows = [(tmp_path / d / "ids.csv").read_text().splitlines() for d in ("all", "one")]
+    assert rows[1] == rows[0][:1] + rows[0][2:]
 
 
 def test_norms_follow_the_modulus(tmp_path):

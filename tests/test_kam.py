@@ -8,7 +8,6 @@ from conftest import random_real_series
 from qplab import contfrac, sl2
 from qplab.kam import (
     ExactResonance,
-    HypothesisViolated,
     KamState,
     SelectionExhausted,
     Su11Series,
@@ -74,7 +73,8 @@ def test_su_roundtrip(rng):
 
 
 def test_homotopy_zero_input():
-    out = homotopy_conjugate(0.25, Su11Series.zero(4), GOLDEN, 1e6, MA, LN_R)
+    zero = Su11Series(FourierSeries.zero(4), FourierSeries.zero(4, real_flag=False))
+    out = homotopy_conjugate(0.25, zero, GOLDEN, 1e6, MA, LN_R)
     assert out["Y"].v.l1() == 0.0 and out["residual"] == 0.0
 
 
@@ -97,10 +97,12 @@ def test_homotopy_contracts(rng):
         assert out["residual"] <= 1e-9
 
 
-def test_homotopy_hypothesis_enforced(rng):
-    g = random_su(rng, 6, math.log(0.05))
-    with pytest.raises(HypothesisViolated):
-        homotopy_conjugate(0.25, g, GOLDEN, 1e6, MA, LN_R)
+def test_homotopy_hypothesis_measured_not_enforced(rng):
+    for _ in range(5):
+        g = random_su(rng, 6, math.log(0.05))  # far above divisor_floor^2 / 64
+        out = homotopy_conjugate(0.25, g, GOLDEN, 1e6, MA, LN_R)
+        assert out["hypothesis_ok"] is False
+        assert out["iterations"] <= 20 and out["nre_leak"] <= 1e-10  # converged all the same
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +113,7 @@ def deep_selection():
 
 def test_kam_step_identity_state(deep_selection):
     cf, sel = deep_selection
-    st = initial_state(GOLDEN, 0.25, MatSeries.constant(np.zeros((2, 2))), MA, sel)
+    st = initial_state(GOLDEN, 0.25, MatSeries.constant(np.zeros((2, 2))), MA)
     nxt = kam_step(st, sel, MA)
     assert nxt.F.l1() == 0.0
     assert nxt.g.l1() == 0.0

@@ -12,9 +12,11 @@ argv of `tests/`, `perfbench/` or `scripts/`: a list literal that starts
 with a subcommand name or extends a list named `argv`.  Each flag is also
 live: given a second value, it changes an artifact byte or the exit code.
 
-The library counterpart: every public module-level function and class is
-used by the program, its scripts, the benchmark or the acceptance criteria,
-not only by unit tests.
+The library counterpart: every public module-level function and class, and
+every public method and property of such a class, is used by the program,
+its scripts, the benchmark or the acceptance criteria, not only by unit
+tests.  A bare name that a function binds itself, as an assignment target or
+a parameter, is that function's local and uses no library name.
 """
 
 import ast
@@ -174,21 +176,56 @@ _UNCALLED_ALLOWED = {
                                "calls it",
     "periodic_ln_bound": "ultra-differentiable tool; the ud potential of ROADMAP item 1 calls it",
     "lyapunov_det_drift": "the determinant-drift check of the transfer kernel _transfer_grid",
+    "check_h1_h2": "the modulus hypotheses of the ud class; ROADMAP item 7 names qplab norms as "
+                   "its caller",
 }
 
 
-def _references(tree):
-    """Names, attributes and string constants under each top-level statement of a module."""
+def _binds(fn):
+    """Names a function binds itself: its parameters and its assignment targets."""
+    a = fn.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, owners=(), bound=frozenset()):
+    """(name, owners) for each name, attribute and string constant under node.
+
+    owners are the names of the enclosing definitions.  A bare name that an
+    enclosing function binds itself is a local and no reference.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            if child.id not in bound:
+                yield child.id, owners
+        elif isinstance(child, ast.Attribute):
+            yield child.attr, owners
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value, owners
+        inner, scope = owners, bound
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = owners + (child.name,)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = bound | _binds(child)
+        yield from _references(child, inner, scope)
+
+
+def _public_defs(tree):
+    """(key, bare name) of each public function and class, and each public method of such a class."""
     for stmt in tree.body:
-        refs = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.add(node.value)
-        yield stmt, refs
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                for node in stmt.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield f"{stmt.name}.{node.name}", node.name
 
 
 def test_every_public_function_and_class_has_a_caller():
@@ -196,14 +233,13 @@ def test_every_public_function_and_class_has_a_caller():
     paths.append(ROOT / "tests" / "test_acceptance.py")
     refs, defs = set(), []
     for path in paths:
-        for stmt, names in _references(ast.parse(path.read_text())):
-            if (path.parent.name == "qplab" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defs.append(f"{path.stem}.{stmt.name}")
-                names = names - {stmt.name}  # a definition does not call itself into use
-            refs |= names
-    uncalled = [d for d in defs
-                if d.split(".")[1] not in refs and d.split(".")[1] not in _UNCALLED_ALLOWED]
+        tree = ast.parse(path.read_text())
+        lib = path.parent.name == "qplab"
+        if lib:
+            defs += [(f"{path.stem}.{key}", name) for key, name in _public_defs(tree)]
+        # a definition does not call itself into use
+        refs |= {name for name, owners in _references(tree) if not (lib and name in owners)}
+    uncalled = [key for key, name in defs if name not in refs and name not in _UNCALLED_ALLOWED]
     assert not uncalled, f"public names only unit tests use: {uncalled}"
     stale = sorted(set(_UNCALLED_ALLOWED) & refs)
     assert not stale, f"allow-listed names that now have a caller: {stale}"
