@@ -17,9 +17,10 @@ over its 3 runs.  The seeds follow from PR, so each record has seeds of its
 own.  Quartiles
 are numpy's linear 25th and 75th percentiles; change_wins counts the pairs
 where the change reads better, ties counting for neither; median_gap is how
-much better the change's median is.  A claim holds when the change wins at
-least 9 of the 10 pairs and median_gap exceeds the parent's interquartile
-spread.
+much better the change's median is, and relative_gain is median_gap over
+the parent's median.  A claim holds when the change wins at least 9 of the
+10 pairs, median_gap exceeds the parent's interquartile spread, and
+relative_gain exceeds the metric's bound in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -110,12 +111,15 @@ def summarize(runs: dict, spec: dict) -> dict:
                    if p is not None and c is not None and sign * (p - c) > 0)
         gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        rel = gap / stats["parent"]["median"]
         out[name] = {
             **stats,
             "change_wins": wins,
             "median_gap": round(gap, 6),
             "parent_iqr": round(iqr, 6),
-            "gain_rule_met": wins >= WINS_NEEDED and gap > iqr,
+            "relative_gain": round(rel, 4),
+            "bound": m["bound"],
+            "gain_rule_met": wins >= WINS_NEEDED and gap > iqr and rel > m["bound"],
             "ratio_change_over_parent": round(stats["change"]["median"] / stats["parent"]["median"], 4),
             "unit": m["unit"],
             "runs": {s: [None if v is None else round(v, 6) for v in vals[s]] for s in SIDES},
@@ -172,10 +176,12 @@ def main() -> int:
         w, m = args.claim.split("/", 1)
         got = record["workloads"][w]["metrics"][m]
         record["claimed"] = {"workload": w, "metric": m,
-                             "rule": f"change wins at least {WINS_NEEDED}/{PAIRS} of the pairs and the "
-                                     "median gap exceeds the parent's interquartile spread",
+                             "rule": f"change wins at least {WINS_NEEDED}/{PAIRS} of the pairs, the "
+                                     "median gap exceeds the parent's interquartile spread and the "
+                                     "relative gain exceeds the metric's bound",
                              "wins": got["change_wins"], "pairs": PAIRS,
                              "median_gap": got["median_gap"], "parent_iqr": got["parent_iqr"],
+                             "relative_gain": got["relative_gain"], "bound": got["bound"],
                              "met": got["gain_rule_met"]}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")

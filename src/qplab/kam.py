@@ -24,6 +24,7 @@ from .udspace import (
     AliasingError,
     FourierSeries,
     Modulus,
+    _grid_ifft,
     _grid_size,
     _grid_values,
     log_norm_mr_ln,
@@ -108,9 +109,15 @@ class Su11Series:
     def scale(self, c: float) -> "Su11Series":
         return Su11Series(self.t * c, self.v * c)
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficient rows of t and v at the common bandwidth K, shape (2, 2K+1)."""
+        K = self.K
+        return np.stack([self.t.pad_to(K).coeffs, self.v.pad_to(K).coeffs])
+
     def log_norm(self, M: Modulus, ln_r: float) -> float:
-        vals = [log_norm_mr_ln(self.t, M, ln_r), log_norm_mr_ln(self.v, M, ln_r)]
-        return max(vals)
+        """The larger log modulus norm of t and v, both rows in one walk over s."""
+        return log_norm_mr_ln(self, M, ln_r)
 
     def hermitize(self) -> "Su11Series":
         th = FourierSeries((self.t.coeffs + np.conj(self.t.coeffs[::-1])) / 2.0, True)
@@ -137,10 +144,13 @@ def su_to_sl2(w: Su11Series) -> FourierSeries:
 def _exp_su_vals(t_vals: np.ndarray, v_vals: np.ndarray):
     """(da, b) of exp of the algebra element with grid values (t, v)."""
     m2 = np.abs(v_vals) ** 2 - t_vals**2
-    mu = np.sqrt(np.abs(m2))
     sc = sl2._sinhc(m2)
-    chm1 = np.where(m2 >= 0, 2.0 * np.sinh(mu / 2.0) ** 2, -2.0 * np.sin(mu / 2.0) ** 2)
-    chm1 = np.where(np.abs(m2) < 1e-12, m2 / 2.0 * (1.0 + m2 / 12.0), chm1)
+    # cosh(mu) - 1 = 2 sinh^2(mu/2) and cos(mu) - 1 = -2 sin^2(mu/2), each entry on its own
+    # branch; the series below |mu^2| = 1e-12
+    chm1 = np.asarray(m2 / 2.0 * (1.0 + m2 / 12.0))
+    hyp, circ = m2 >= 1e-12, m2 <= -1e-12
+    chm1[hyp] = 2.0 * np.sinh(np.sqrt(m2[hyp]) / 2.0) ** 2
+    chm1[circ] = -2.0 * np.sin(np.sqrt(-m2[circ]) / 2.0) ** 2
     da = chm1 + 1j * t_vals * sc
     b = v_vals * sc
     return da, b
@@ -197,23 +207,26 @@ def homotopy_conjugate(
     g_t_vals = np.real(g.t.pad_to(K).values(G))
     g_v_vals = g.v.pad_to(K).values(G)
     ph4 = np.exp(4j * np.pi * rho)
+    shift = np.exp(2j * np.pi * ks * alpha)  # the phases of Y(.+a)
+    zero_t = np.zeros(G)
     e2 = _exp_su_vals(g_t_vals, g_v_vals)
 
-    def f_of(y_coeffs: np.ndarray):
-        """F(Y) coefficients on the nre modes, plus the full log grids."""
-        ys = FourierSeries(y_coeffs, False)
-        y_vals = ys.values(G)
-        yshift_vals = ys.shift(alpha).values(G) * ph4  # A^{-1} Y(.+a) A, v-part
-        e1 = _exp_su_vals(np.zeros(G), yshift_vals)
-        e3 = _exp_su_vals(np.zeros(G), -y_vals)
-        p = _mul_su(_mul_su(e1, e2), e3)
+    def product(y_coeffs: np.ndarray):
+        """e^{A^{-1} Y(.+a) A} e^{g} e^{-Y} on the grid; Y and Y(.+a) come from one inverse DFT."""
+        y_vals, yshift_vals = _grid_ifft(np.stack([y_coeffs, y_coeffs * shift]), G)
+        e1 = _exp_su_vals(zero_t, yshift_vals * ph4)  # A^{-1} Y(.+a) A, v-part
+        e3 = _exp_su_vals(zero_t, -y_vals)
+        return _mul_su(_mul_su(e1, e2), e3)
+
+    def f_of(p):
+        """F(Y) coefficients on the nre modes, plus the full log grids, from the product p."""
         t_log, v_log = _log_su_vals(p)
         v_co = FourierSeries.from_values(v_log, K, tail_tol=None).coeffs
         f_co = np.where(nre_mask, v_co, 0.0)
         return f_co, (t_log, v_log), p
 
     y = np.zeros(2 * K + 1, dtype=complex)
-    f_co, logs, p = f_of(y)
+    f_co, logs, p = f_of(e2)  # at Y = 0 the product is e^{g}
     fnorm = float(np.sum(np.abs(f_co)))
     tol = 1e-12 * max(1.0, math.exp(min(ln_g, 50.0)))
     iters = 0
@@ -230,7 +243,7 @@ def homotopy_conjugate(
         improved = False
         for _ in range(6):
             y_try = y - damping * step
-            f_try, logs_try, p_try = f_of(y_try)
+            f_try, logs_try, p_try = f_of(product(y_try))
             fn_try = float(np.sum(np.abs(f_try)))
             if fn_try < fnorm:
                 y, f_co, logs, p, fnorm = y_try, f_try, logs_try, p_try, fn_try
@@ -441,14 +454,18 @@ def initial_state(alpha: float, rho_f: float, F: FourierSeries, M: Modulus) -> K
 
 def conjugation_residual(state: KamState, A0: FourierSeries) -> float:
     """512-point sup-grid norm of B(.+alpha) A0(.) B(.)^{-1} - R_{rho_f + g/2pi} e^{F}."""
+    return _residual_on_grid(state, _grid_values(A0, 512))
+
+
+def _residual_on_grid(state: KamState, A0_vals: np.ndarray) -> float:
+    """`conjugation_residual` with A0 given by its values on the 512-point grid."""
     if state.conj is None:
         B = FourierSeries.constant(np.eye(2))
     else:
         B = state.conj
     Bv = _grid_values(B, 512)
     Bshift = _grid_values(B.shift(state.alpha), 512)
-    Av = _grid_values(A0, 512)
-    lhs = Bshift @ Av @ sl2.inv_det1(Bv)
+    lhs = Bshift @ A0_vals @ sl2.inv_det1(Bv)
     target = _grid_values(state.cocycle_series(), 512)
     return float(np.max(sl2.frob(lhs - target)))
 
@@ -476,12 +493,13 @@ def almost_reducibility_driver(
     dev = sl2.rot(-rho_f)[None, :, :] @ (A0 - R).values(G)
     F0 = FourierSeries.from_values(sl2.sl2_log_dev(dev), K_work, True, tail_tol=None)
     state = initial_state(alpha, rho_f, F0, M)
+    A0_vals = _grid_values(A0, 512)
     ledger = []
     stop_reason = f"completed {steps} steps"
     for _ in range(steps):
         try:
             nxt = kam_step(state, sel, M, K_work=K_work)
-            residual = conjugation_residual(nxt, A0)
+            residual = _residual_on_grid(nxt, A0_vals)
         except (HypothesisViolated, NewtonDivergence, ExactResonance, SelectionExhausted,
                 AliasingError) as exc:
             stop_reason = f"stopped at level {state.level}: {exc}"

@@ -117,32 +117,37 @@ def frob(m: np.ndarray) -> np.ndarray:
 
 
 def _sinhc(mu2):
-    """sinh(sqrt(mu2))/sqrt(mu2) for real mu2 of either sign (cos branch if < 0)."""
+    """sinh(sqrt(mu2))/sqrt(mu2) for real mu2 of either sign (sin branch if < 0).
+
+    Each entry evaluates only its own branch: the series 1 + mu2/6 + mu2^2/120
+    where |mu2| < 1e-12, sinh above and sin below.
+    """
     mu2 = np.asarray(mu2)
-    small = np.abs(mu2) < 1e-12
-    safe = np.where(small, 1.0, mu2)
-    pos = mu2 > 0
-    root = np.sqrt(np.abs(safe))
-    with np.errstate(invalid="ignore"):
-        val = np.where(pos, np.sinh(root) / root, np.sin(root) / root)
-    # series: 1 + mu2/6 + mu2^2/120
-    return np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, val)
+    out = np.asarray(1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0)
+    hyp, circ = mu2 >= 1e-12, mu2 <= -1e-12
+    root = np.sqrt(mu2[hyp])
+    out[hyp] = np.sinh(root) / root
+    root = np.sqrt(-mu2[circ])
+    out[circ] = np.sin(root) / root
+    return out
 
 
 def _cosh_branch(mu2):
+    """cosh(sqrt(mu2)) for real mu2, cos(sqrt(-mu2)) below 0; each entry on its own branch."""
     mu2 = np.asarray(mu2)
     root = np.sqrt(np.abs(mu2))
-    return np.where(mu2 >= 0, np.cosh(root), np.cos(root))
+    out = np.empty_like(root)
+    hyp = mu2 >= 0
+    out[hyp] = np.cosh(root[hyp])
+    out[~hyp] = np.cos(root[~hyp])
+    return out
 
 
 def sl2_exp(x: np.ndarray) -> np.ndarray:
-    """exp of traceless 2x2 (arrays ok): exp(X) = cosh(mu) I + sinhc(mu^2) X.
-
-    mu^2 = -det X; works for sl(2,R) (real) and for complex traceless input.
-    """
+    """exp of traceless real 2x2 (arrays ok): exp(X) = cosh(mu) I + sinhc(mu^2) X, mu^2 = -det X."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        return np.eye(2) + sl2_expm1(x)
+        raise TypeError(f"sl2_exp takes real sl(2,R) grids, not {x.dtype}")
     mu2 = -det2(x)
     ch = _cosh_branch(mu2)
     sc = _sinhc(mu2)
@@ -153,24 +158,20 @@ def _log_factor(w):
     """f(w) with log(P) = (P - w I) * f(w) for det-1 P, w = tr(P)/2.
 
     f(w) = phi/sin(phi) with phi = arccos(w) on |w|<=1, arccosh(w)/sinh on w>1.
-    Stable series near w=1.  w <= -1 is outside the principal branch.
+    Stable series near w=1.  w <= -1 is outside the principal branch.  Each
+    entry evaluates only its own branch.
     """
     w = np.asarray(w, dtype=float)
     d = w - 1.0
-    small = np.abs(d) < 1e-8
-    wc = np.clip(w, -1.0 + 1e-300, None)
-    out = np.empty_like(w)
-    ell = w > 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.arccos(np.clip(wc, -1.0, 1.0))
-        sphi = np.sin(phi)
-        f_ell = np.where(sphi > 0, phi / np.where(sphi > 0, sphi, 1.0), np.inf)
-        mu = np.arccosh(np.where(ell, w, 1.0))
-        smu = np.sinh(mu)
-        f_hyp = np.where(smu > 0, mu / np.where(smu > 0, smu, 1.0), 1.0)
-    out = np.where(ell, f_hyp, f_ell)
     # f(1+d) = 1 - d/3 + 2 d^2/15 + O(d^3)
-    return np.where(small, 1.0 - d / 3.0 + 2.0 * d * d / 15.0, out)
+    out = np.asarray(1.0 - d / 3.0 + 2.0 * d * d / 15.0)
+    hyp, ell = d >= 1e-8, d <= -1e-8
+    mu = np.arccosh(w[hyp])
+    out[hyp] = mu / np.sinh(mu)
+    # phi lies in (0, pi]: sin(phi) > 0 there in floats too
+    phi = np.arccos(np.maximum(w[ell], -1.0))
+    out[ell] = phi / np.sin(phi)
+    return out
 
 
 def sl2_log(p: np.ndarray) -> np.ndarray:
@@ -196,21 +197,18 @@ def sl2_log_dev(dev: np.ndarray) -> np.ndarray:
 
 
 def sl2_expm1(x: np.ndarray) -> np.ndarray:
-    """exp(X) - I for traceless X, computed without forming exp(X)."""
+    """exp(X) - I for traceless real X, computed without forming exp(X)."""
     x = np.asarray(x)
-    mu2 = -det2(x)
     if np.iscomplexobj(x):
-        mu = np.sqrt(mu2 + 0j)
-        small = np.abs(mu2) < 1e-12
-        safe = np.where(small, 1.0, mu)
-        sc = np.where(small, 1.0 + mu2 / 6.0, np.sinh(safe) / safe)
-        # cosh(mu) - 1 = 2 sinh^2(mu/2), free of the cancellation of cosh(mu) - 1
-        chm1 = np.where(small, mu2 / 2.0 * (1.0 + mu2 / 12.0), 2.0 * np.sinh(mu / 2.0) ** 2)
-        return chm1[..., None, None] * np.eye(2) + sc[..., None, None] * x
+        raise TypeError(f"sl2_expm1 takes real sl(2,R) grids, not {x.dtype}")
+    mu2 = -det2(x)
     sc = _sinhc(mu2)
-    root = np.sqrt(np.abs(mu2))
+    half = np.sqrt(np.abs(mu2)) / 2.0
     # cosh(mu)-1 = 2 sinh^2(mu/2); cos branch: cos(mu)-1 = -2 sin^2(mu/2)
-    chm1 = np.where(mu2 >= 0, 2.0 * np.sinh(root / 2.0) ** 2, -2.0 * np.sin(root / 2.0) ** 2)
+    chm1 = np.empty_like(half)
+    hyp = mu2 >= 0
+    chm1[hyp] = 2.0 * np.sinh(half[hyp]) ** 2
+    chm1[~hyp] = -2.0 * np.sin(half[~hyp]) ** 2
     return chm1[..., None, None] * IDENT + sc[..., None, None] * x
 
 

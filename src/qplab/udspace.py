@@ -57,8 +57,10 @@ class Modulus:
     kind: str
     param: float = 0.0
     generator: Callable[[float], float] = field(init=False)
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._prefix = np.empty(0)
         if self.kind == "analytic":
             self.generator = lambda s: math.lgamma(s + 1.0)
         elif self.kind == "gevrey":
@@ -79,6 +81,12 @@ class Modulus:
         s = np.asarray(s, dtype=float)
         gen = self.generator
         return np.vectorize(gen, otypes=[float])(s) if s.ndim else float(gen(float(s)))
+
+    def _log_m_prefix(self, n: int) -> np.ndarray:
+        """ln M_s for s = 0..n, read from a prefix kept on the instance (grown by doubling)."""
+        if self._prefix.size <= n:
+            self._prefix = self.log_m(np.arange(max(n + 1, 2 * self._prefix.size), dtype=float))
+        return self._prefix[: n + 1]
 
     def log_m_inc(self, s: float) -> float:
         """ln M_{s+1} - ln M_s, in a form stable at astronomically large s."""
@@ -272,6 +280,19 @@ def _grid_size(K: int) -> int:
     return g
 
 
+def _grid_ifft(coeffs: np.ndarray, G: int) -> np.ndarray:
+    """Values on theta_j = j/G of coefficient rows (..., 2K+1), 2K < G, theta axis last.
+
+    Modes k = 0..K go to the head of the spectrum and k = -K..-1 to its end,
+    then one inverse DFT over every row.
+    """
+    K = coeffs.shape[-1] // 2
+    spec = np.zeros(coeffs.shape[:-1] + (G,), dtype=complex)
+    spec[..., : K + 1] = coeffs[..., K:]
+    spec[..., G - K :] = coeffs[..., :K]
+    return np.fft.ifft(spec, axis=-1) * G
+
+
 def _grid_values(f: "FourierSeries", G: int) -> np.ndarray:
     """Values of f at theta_j = j/G for any G, shape (G,) (+ (2, 2)).
 
@@ -374,30 +395,36 @@ class FourierSeries:
         G = G or _grid_size(self.K)
         if G <= 2 * self.K:
             raise ValueError("grid must exceed twice the bandwidth")
-        spec = np.zeros(self.coeffs.shape[:-1] + (G,), dtype=complex)
-        spec[..., self.ks() % G] = self.coeffs
-        vals = np.moveaxis(np.fft.ifft(spec, axis=-1) * G, -1, 0)
+        vals = _grid_ifft(self.coeffs, G)
+        if vals.ndim > 1:
+            vals = np.moveaxis(vals, -1, 0)
         return np.real(vals) if self.real_flag else vals
 
     @classmethod
     def from_values(cls, vals: np.ndarray, K: int, real_flag: bool = False,
                     tail_tol: Optional[float] = 1e-13) -> "FourierSeries":
-        """DFT of grid values (theta axis first), truncated to bandwidth K with a mass check."""
-        vals = np.moveaxis(np.asarray(vals), 0, -1)
+        """DFT of grid values (theta axis first), truncated to bandwidth K with a mass check.
+
+        The grid holds the modes -(G // 2) .. (G - 1) // 2; of these, k = 0 .. kp
+        sit at the head of the spectrum and k = -kn .. -1 at its end.
+        """
+        vals = np.asarray(vals)
+        if vals.ndim > 1:
+            vals = np.moveaxis(vals, 0, -1)
         G = vals.shape[-1]
         spec = np.fft.fft(vals, axis=-1) / G
-        ks = np.arange(-(G // 2), (G + 1) // 2)
-        full = spec[..., ks % G]
-        inside = np.abs(ks) <= K
+        kp, kn = min(K, (G - 1) // 2), min(K, G // 2)
         if tail_tol is not None:
-            total = float(np.sum(np.abs(full)))
-            outside = float(np.sum(np.abs(full[..., ~inside])))
+            mag = np.abs(spec)
+            total = float(np.sum(mag))
+            outside = float(np.sum(mag[..., kp + 1 : G - kn]))
             if total > 0 and outside > tail_tol * total:
                 raise AliasingError(
                     f"tail mass {outside:.3e} exceeds {tail_tol:.0e} of total {total:.3e}"
                 )
         c = np.zeros(vals.shape[:-1] + (2 * K + 1,), dtype=complex)
-        c[..., ks[inside] + K] = full[..., inside]
+        c[..., K : K + kp + 1] = spec[..., : kp + 1]
+        c[..., K - kn : K] = spec[..., G - kn :]
         return cls(c, real_flag)
 
     # -- algebra -------------------------------------------------------------
@@ -532,26 +559,27 @@ def rotation_series(g: FourierSeries, out_K: Optional[int] = None) -> FourierSer
 # ---------------------------------------------------------------------------
 
 
-def _log_ns(coeff_abs: np.ndarray, ks: np.ndarray, s_values: np.ndarray) -> np.ndarray:
-    """log of N_s = sum_k |fhat(k)| |2 pi k|^s for each s, via logsumexp."""
-    mask = coeff_abs > 0.0
-    if not np.any(mask):
-        return np.full(s_values.shape, -np.inf)
-    la = np.log(coeff_abs[mask])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lk = np.log(np.abs(2.0 * np.pi * ks[mask]))
-        mat = la[None, :] + np.outer(s_values, lk)
-    # k = 0 contributes only at s = 0 (0^0 = 1)
-    zerok = ~np.isfinite(lk)
-    if np.any(zerok):
-        mat[:, zerok] = -np.inf
-        for i, s in enumerate(s_values):
-            if s == 0.0:
-                mat[i, zerok] = la[zerok]
-    m = np.max(mat, axis=1)
+_NORM_BLOCK = 1 << 16  # most (row, s, k) entries one block of the norm's walk over s holds
+
+
+def _block_log_ns(la: np.ndarray, lk: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln N_s = ln sum_k |fhat(k)| |2 pi k|^s for each row and each s of a block, via logsumexp.
+
+    la (rows, 2K+1) holds ln |fhat(k)| (-inf for a zero coefficient), lk the
+    ln |2 pi k| (-inf at k = 0, which contributes at s = 0 only: 0^0 = 1).
+    """
+    with np.errstate(invalid="ignore"):
+        sl = s[:, None] * lk
+    sl[:, lk.size // 2] = np.where(s == 0.0, 0.0, -np.inf)
+    mat = la[:, None, :] + sl
+    m = np.max(mat, axis=-1)
     safe = np.where(np.isfinite(m), m, 0.0)
+    mat -= safe[..., None]
+    # numpy's exp is slow where it underflows; below -700 a term adds nothing to a sum
+    # that holds exp(0) = 1, so it is clipped there
+    np.maximum(mat, -700.0, out=mat)
     with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(mat - safe[:, None]), axis=1))
+        out = safe + np.log(np.sum(np.exp(mat, out=mat), axis=-1))
     return np.where(np.isfinite(m), out, -np.inf)
 
 
@@ -559,22 +587,59 @@ def log_norm_mr_ln(f, M: Modulus, ln_r: float, s_cap: Optional[int] = None) -> f
     """log of the modulus norm with the width given as ln(r).
 
     Widths deep in a KAM run underflow floats; everything here only
-    needs ln_r.  A 2x2 series takes the entrywise max.
+    needs ln_r.  f is a series with bandwidth K and coefficient rows
+    f.coeffs (..., 2K+1): a 2x2 series takes the entrywise max, and
+    `kam.Su11Series` the max over t and v.  All rows are walked over s
+    together, in blocks of at most `_NORM_BLOCK` entries.
+
+    Since N_s <= ||fhat||_1 (2 pi K)^s, each row's supremand lies below
+    U(s) = ln C + 2 ln(1+s) + s (ln r + ln 2 pi K) + ln ||fhat||_1 - ln M_s,
+    concave by (H1).  A row is done once U, plus a margin for rounding,
+    stays below the row's best value at every s ahead, which happens soon
+    after U turns down.  So the value, the argmax and the s_cap warning are
+    those of the full scan.
     """
+    K = f.K
     if s_cap is None:
-        top = math.log(2.0 * math.pi * max(f.K, 1)) + ln_r
+        top = math.log(2.0 * math.pi * max(K, 1)) + ln_r
         s_star = _argmax_s(M, top) if top > 0 else 0
         s_cap = int(min(max(120, s_star + 40), 4000))
     s = np.arange(s_cap + 1, dtype=float)
     weight = math.log(C_NORM) + 2.0 * np.log1p(s) + s * ln_r
-    log_m = M.log_m(s)
+    log_m = M._log_m_prefix(s_cap)
+    rows = np.abs(f.coeffs).reshape(-1, 2 * K + 1)
+    with np.errstate(divide="ignore"):
+        la = np.log(rows)
+        lk = np.log(np.abs(2.0 * np.pi * np.arange(-K, K + 1)))
+        ln_l1 = np.log(np.sum(rows, axis=1))[:, None]
+    # U of each row at every s, and its max over the s ahead; the margin is far above the
+    # rounding of U and of the logsumexp, as |ln |fhat(k)|| < 746 for a nonzero double.  A zero
+    # row has U = -inf and is done at once.
+    ln_top = s * math.log(2.0 * math.pi * max(K, 1))
+    bound = weight + (ln_top + ln_l1 + 1e-9 * (1e3 + ln_top)) - log_m
+    bound_ahead = np.maximum.accumulate(bound[:, ::-1], axis=1)[:, ::-1]
+    n_rows = rows.shape[0]
+    best = np.full(n_rows, -np.inf)
+    arg = np.zeros(n_rows, dtype=int)
+    step = max(1, _NORM_BLOCK // rows.size)
+    lo, stop = 0, s_cap + 1
+    while lo < stop:
+        hi = min(stop, lo + step) if lo else 1  # s = 0 alone first: its value often settles the walk
+        obj = weight[lo:hi] + _block_log_ns(la, lk, s[lo:hi]) - log_m[lo:hi]
+        j = np.argmax(obj, axis=1)
+        val = obj[np.arange(n_rows), j]
+        new = val > best
+        best = np.where(new, val, best)
+        arg = np.where(new, lo + j, arg)
+        lo = hi
+        # bound_ahead does not increase along s, so each row is done on a suffix of the s ahead
+        done = (bound_ahead[:, lo:] < best[:, None]) | (bound_ahead[:, lo:] == -np.inf)
+        stop = lo + int(np.max(done.shape[1] - np.sum(done, axis=1)))
     out = -math.inf
-    for row in np.abs(f.coeffs).reshape(-1, 2 * f.K + 1):
-        obj = weight + _log_ns(row, f.ks(), s) - log_m
-        best = int(np.argmax(obj))
-        if best >= s_cap - 2 and np.isfinite(obj[best]):
+    for b, a in zip(best, arg):
+        if a >= s_cap - 2 and np.isfinite(b):
             warnings.warn("norm supremand still increasing at s_cap", stacklevel=2)
-        out = max(out, float(obj[best]))
+        out = max(out, float(b))
     return out
 
 

@@ -25,3 +25,23 @@ def test_tracer_finds_every_target(monkeypatch):
         assert t._saved
     finally:
         t.uninstall()
+
+
+def test_bench_pairs_claim_needs_a_gain_beyond_the_bound(monkeypatch):
+    """10 of 10 wins and a gap above the parent's spread are not enough when the gain is within the bound."""
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "scripts"))
+    import bench_pairs
+
+    spec = {"end_to_end": [{"name": "op_s.p50", "unit": "s", "better": "lower", "bound": 0.24}]}
+    parent = [1.0 + 0.001 * i for i in range(10)]
+
+    def summary(ratio):
+        runs = {"parent": [{"metrics": {"op_s.p50": v}} for v in parent],
+                "change": [{"metrics": {"op_s.p50": v * ratio}} for v in parent]}
+        return bench_pairs.summarize(runs, spec)["op_s.p50"]
+
+    met = summary(0.70)
+    assert met["gain_rule_met"] and met["bound"] == 0.24 and abs(met["relative_gain"] - 0.30) < 1e-3
+    short = summary(0.80)
+    assert short["change_wins"] == 10 and short["median_gap"] > short["parent_iqr"]
+    assert not short["gain_rule_met"]

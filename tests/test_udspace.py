@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_real_series
-from qplab import sl2
+from qplab import kam, sl2, udspace
 from qplab.udspace import (
     AliasingError,
     C_NORM,
@@ -18,6 +20,7 @@ from qplab.udspace import (
     lambda_many,
     lambda_of,
     log_norm_mr,
+    log_norm_mr_ln,
     norm_lambda,
     norm_mr,
     rotation_series,
@@ -246,18 +249,162 @@ def test_log_map_inverts_exp(rng):
 def test_sl2_expm1_complex_small_argument(mu2_abs):
     """exp(X) - I entrywise to 1e-13 relative where |mu^2| = |det X| is small.
 
-    X = [[0, m], [m c, 0]] has mu^2 = m^2 c: hyperbolic (c = 1), elliptic
-    (c = -1) and complex (c = 1 + 0.3i); the reference is mpmath at 40 digits.
+    X = [[0, m], [m c, 0]] has mu^2 = m^2 c: hyperbolic (c = 1) and elliptic
+    (c = -1); the reference is mpmath at 40 digits.  The kernel takes real
+    grids only (complex input raises, see below).
     """
     mpmath = pytest.importorskip("mpmath")
-    for c in (1.0, -1.0, 1.0 + 0.3j):
-        m = math.sqrt(mu2_abs / abs(c))
+    for c in (1.0, -1.0):
+        m = math.sqrt(mu2_abs)
         X = np.array([[0.0, m], [m * c, 0.0]])
         with mpmath.workdps(40):
             ref = mpmath.expm(mpmath.matrix(X.tolist())) - mpmath.eye(2)
-            ref = np.array(ref.tolist(), dtype=complex)
+            ref = np.array(ref.tolist(), dtype=float)
         err = np.max(np.abs(sl2.sl2_expm1(X) - ref) / np.abs(ref))
         assert err <= 1e-13, (c, err)
+
+
+@pytest.mark.parametrize("kernel", ["sl2_exp", "sl2_expm1"])
+def test_exp_kernels_refuse_complex_grids(kernel):
+    X = np.array([[0.0, 1e-3], [1e-3 * (1.0 + 0.3j), 0.0]])
+    with pytest.raises(TypeError, match=kernel):
+        getattr(sl2, kernel)(X)
+
+
+# -- the single-branch kernels against their two-branch np.where forms ------
+
+
+def _sinhc_two_branch(mu2):
+    mu2 = np.asarray(mu2)
+    small = np.abs(mu2) < 1e-12
+    safe = np.where(small, 1.0, mu2)
+    pos = mu2 > 0
+    root = np.sqrt(np.abs(safe))
+    with np.errstate(invalid="ignore"):
+        val = np.where(pos, np.sinh(root) / root, np.sin(root) / root)
+    return np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, val)
+
+
+def _cosh_two_branch(mu2):
+    mu2 = np.asarray(mu2)
+    root = np.sqrt(np.abs(mu2))
+    return np.where(mu2 >= 0, np.cosh(root), np.cos(root))
+
+
+def _log_factor_two_branch(w):
+    w = np.asarray(w, dtype=float)
+    d = w - 1.0
+    small = np.abs(d) < 1e-8
+    wc = np.clip(w, -1.0 + 1e-300, None)
+    ell = w > 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arccos(np.clip(wc, -1.0, 1.0))
+        sphi = np.sin(phi)
+        f_ell = np.where(sphi > 0, phi / np.where(sphi > 0, sphi, 1.0), np.inf)
+        mu = np.arccosh(np.where(ell, w, 1.0))
+        smu = np.sinh(mu)
+        f_hyp = np.where(smu > 0, mu / np.where(smu > 0, smu, 1.0), 1.0)
+    out = np.where(ell, f_hyp, f_ell)
+    return np.where(small, 1.0 - d / 3.0 + 2.0 * d * d / 15.0, out)
+
+
+def _expm1_two_branch(x):
+    mu2 = -sl2.det2(x)
+    sc = _sinhc_two_branch(mu2)
+    root = np.sqrt(np.abs(mu2))
+    chm1 = np.where(mu2 >= 0, 2.0 * np.sinh(root / 2.0) ** 2, -2.0 * np.sin(root / 2.0) ** 2)
+    return chm1[..., None, None] * np.eye(2) + sc[..., None, None] * x
+
+
+def _exp_two_branch(x):
+    mu2 = -sl2.det2(x)
+    return _cosh_two_branch(mu2)[..., None, None] * np.eye(2) + _sinhc_two_branch(mu2)[..., None, None] * x
+
+
+def _exp_su_two_branch(t_vals, v_vals):
+    m2 = np.abs(v_vals) ** 2 - t_vals**2
+    mu = np.sqrt(np.abs(m2))
+    sc = _sinhc_two_branch(m2)
+    chm1 = np.where(m2 >= 0, 2.0 * np.sinh(mu / 2.0) ** 2, -2.0 * np.sin(mu / 2.0) ** 2)
+    chm1 = np.where(np.abs(m2) < 1e-12, m2 / 2.0 * (1.0 + m2 / 12.0), chm1)
+    return chm1 + 1j * t_vals * sc, v_vals * sc
+
+
+def _ulps_around(x, n=3):
+    """x and its n float neighbours on each side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+# mu^2 on both sides of every cut (+-1e-12, 0), far from them, and a grid of small values only
+_MU2 = np.array(sorted(set(
+    _ulps_around(1e-12) + _ulps_around(-1e-12)
+    + [0.0, 5e-13, -5e-13, 1e-300, -1e-300, 1e-9, -1e-9, 0.3, -0.3, 2.0, -2.0, 40.0, -40.0, 600.0])))
+_MU2_SMALL = np.array([0.0, 3e-13, -7e-13, 9.99e-13, -9.99e-13])
+# w = tr/2 on both sides of |w - 1| = 1e-8 (w - 1 is a multiple of 2^-52 above 1, 2^-53 below)
+_W = np.array(sorted(
+    [1.0 + k * 2.0**-52 for k in (45035995, 45035996, 45035997, 45035998)]
+    + [1.0 - k * 2.0**-53 for k in (90071991, 90071992, 90071993, 90071994)]
+    + [1.0, 1.0 + 5e-9, 1.0 - 5e-9, 1.0 + 2e-8, 1.0 - 2e-8, 0.5, 0.0, -0.5, -1.0, -1.5, 1.5, 10.0,
+       1e3]))
+_W_SMALL = np.array([1.0, 1.0 + 3e-9, 1.0 - 7e-9])
+
+
+def _same(a, b):
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+def test_scalar_kernels_match_their_two_branch_forms_bit_for_bit():
+    for grid in (_MU2, _MU2_SMALL, _MU2.reshape(1, -1)):
+        assert _same(sl2._sinhc(grid), _sinhc_two_branch(grid))
+        assert _same(sl2._cosh_branch(grid), _cosh_two_branch(grid))
+    for grid in (_W, _W_SMALL, _W.reshape(1, -1)):
+        assert _same(sl2._log_factor(grid), _log_factor_two_branch(grid))
+    for mu2 in _MU2:
+        assert _same(sl2._sinhc(mu2), _sinhc_two_branch(mu2))
+        assert _same(sl2._sinhc(float(mu2)), _sinhc_two_branch(float(mu2)))
+        assert _same(sl2._cosh_branch(mu2), _cosh_two_branch(mu2))
+    for w in _W:
+        assert _same(sl2._log_factor(w), _log_factor_two_branch(w))
+        assert _same(sl2._log_factor(float(w)), _log_factor_two_branch(float(w)))
+
+
+def test_matrix_kernels_match_their_two_branch_forms_bit_for_bit(rng):
+    # X = [[0, 1], [mu2, 0]] has -det X = mu2 exactly; random traceless X besides
+    def stack(mu2):
+        X = np.zeros(np.shape(mu2) + (2, 2))
+        X[..., 0, 1] = 1.0
+        X[..., 1, 0] = mu2
+        return X
+
+    a, b, c = rng.normal(size=(3, 64)) * np.array([[1e-7], [1e-3], [1.0]])
+    rand = np.stack([np.stack([a, b], -1), np.stack([c, -a], -1)], -2)
+    for X in (stack(_MU2), stack(_MU2_SMALL), rand, stack(0.3), stack(-1e-12), stack(0.0)):
+        assert _same(sl2.sl2_expm1(X), _expm1_two_branch(X))
+        assert _same(sl2.sl2_exp(X), _exp_two_branch(X))
+
+
+def test_su_exp_matches_its_two_branch_form_bit_for_bit():
+    # |v|^2 - t^2 on both sides of +-1e-12 and 0: v or t at 1e-6 and its neighbours
+    near = np.array(_ulps_around(1e-6, 6))
+    zeros = np.zeros_like(near)
+    grids = [
+        (zeros, near + 0j),
+        (near, zeros + 0j),
+        (near, near * np.exp(0.7j)),
+        (np.linspace(-2.0, 2.0, 41), np.linspace(0.0, 3.0, 41) * np.exp(0.3j)),
+        (np.full(4, 1e-8), np.full(4, 2e-8 + 0j)),
+        (np.array(0.2), np.array(0.5 + 0.1j)),
+        (np.array(0.0), np.array(0.0j)),
+    ]
+    for t, v in grids:
+        da, b = kam._exp_su_vals(t, v)
+        da_ref, b_ref = _exp_su_two_branch(t, v)
+        assert _same(da, da_ref) and _same(b, b_ref)
 
 
 def test_log_map_branch_error():
@@ -278,6 +425,97 @@ def test_matseries_sl2_flag(rng):
     X = MatSeries.from_entries(x, x * 0.2, x * (-0.2), x * (-1.0))
     E = X.exp_map(out_K=18)
     assert np.max(np.abs(sl2.det2(E.values()) - 1.0)) <= 1e-12
+
+
+def _supremand_reference(f, M, ln_r, s_cap):
+    """Per row, ln C + 2 ln(1+s) + s ln r + ln N_s - ln M_s for s = 0..s_cap, by plain loops.
+
+    N_s = sum_k |fhat(k)| |2 pi k|^s over every nonzero coefficient, summed in
+    log domain; k = 0 contributes at s = 0 only.
+    """
+    K = f.K
+    table = []
+    for row in np.abs(f.coeffs).reshape(-1, 2 * K + 1):
+        objs = []
+        for s in range(s_cap + 1):
+            terms = [math.log(a) + (s * math.log(abs(2.0 * math.pi * k)) if k else 0.0)
+                     for k, a in zip(range(-K, K + 1), row) if a > 0 and (k != 0 or s == 0)]
+            if not terms:
+                objs.append(-math.inf)
+                continue
+            top = max(terms)
+            ln_n = top + math.log(math.fsum(math.exp(x - top) for x in terms))
+            objs.append(math.log(C_NORM) + 2.0 * math.log1p(s) + s * ln_r + ln_n - M.generator(float(s)))
+        table.append(np.array(objs))
+    return table
+
+
+def _norm_cases(rng):
+    def decaying(shape, K):
+        return rng.normal(size=shape) * np.exp(-0.4 * np.abs(np.arange(-K, K + 1))) + 0j
+
+    zero_entry = FourierSeries(decaying((2, 2, 25), 12))
+    zero_entry.coeffs[1, 0] = 0.0
+    return {
+        "scalar": FourierSeries(decaying(25, 12)),
+        "2x2": FourierSeries(decaying((2, 2, 25), 12)),
+        "zero coefficients": FourierSeries.from_dict({-5: 0.3, 2: 1.0, 7: 1e-3, 12: -2e-5}),
+        # all mass at |k| = K: N_s = ||fhat||_1 (2 pi K)^s for s >= 1, so the stopping bound is tight
+        "top modes only": FourierSeries.from_dict({-12: 0.5, 12: 0.5}),
+        "2x2 with a zero entry": zero_entry,
+        "K = 0": FourierSeries.constant(2.5),
+        "2x2 K = 0": FourierSeries.constant(np.diag([3.0, -1.0 / 3.0])),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("ln_r", [-900.0, -1.0, 0.0, 1.0])
+def test_norm_matches_a_full_scan(moduli, rng, monkeypatch, ln_r, block):
+    """Value within 1e-13 relative and the same argmax as a plain loop over every s and k.
+
+    The argmax shows through the s_cap warning: a row warns when its argmax
+    over s <= s_cap is s_cap - 2 or later, so caps just past each row's
+    argmax pin it down.  Blocks of 64 entries walk s a few values at a time,
+    so the stopping rule is tried at nearly every s.
+    """
+    if block is not None:
+        monkeypatch.setattr(udspace, "_NORM_BLOCK", block)
+    S = 260
+    for name, f in _norm_cases(rng).items():
+        for M in moduli:
+            table = _supremand_reference(f, M, ln_r, S)
+            tops = [int(np.argmax(row)) for row in table]
+            caps = {S} | {a + d for a in tops for d in (2, 3) if a + d <= S}
+            for cap in sorted(caps):
+                ref = max(float(np.max(row[: cap + 1])) for row in table)
+                warns = any(int(np.argmax(row[: cap + 1])) >= cap - 2 and np.isfinite(np.max(row[: cap + 1]))
+                            for row in table)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = log_norm_mr_ln(f, M, ln_r, s_cap=cap)
+                assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (name, M.kind, cap, got, ref)
+                assert bool(caught) == warns, (name, M.kind, cap, tops)
+
+
+def test_norm_of_a_wide_matrix_series_walks_small_blocks():
+    """A level-0 call (ln r = 0) on a 2x2 series at K = 512 allocates under 8 MB at its peak.
+
+    Its default cap is s = 3240; one (s_cap+1) x (2K+1) logsumexp matrix per
+    row would take 27 MB per temporary.  Allocations are read with
+    tracemalloc, which sees numpy's buffers.
+    """
+    K = 512
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(2, 2, 2 * K + 1)) * np.exp(-np.abs(np.arange(-K, K + 1)) ** 0.5)
+    f = FourierSeries(c + 0j)
+    tracemalloc.start()
+    try:
+        val = log_norm_mr_ln(f, Modulus("analytic"), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(val)
+    assert peak < 8 * 2**20, peak
 
 
 def test_norm_cap_warning():
