@@ -30,7 +30,6 @@ from .cocycle import (
     renorm_iterates,
     commutation_residual,
     rotation_number,
-    schrodinger,
 )
 from .udspace import FourierSeries, Modulus, log_norm_mr, norm_lambda, rotation_series
 
@@ -162,7 +161,7 @@ def cmd_lyapunov(alpha, lam, E, n, grid, out_dir) -> int:
 
 def cmd_rotnum(alpha, lam, E, n, out_dir) -> int:
     e = contfrac.expand(alpha, 1)
-    c = schrodinger(_amo_series(lam), E, e.alpha)
+    c = amo(lam, E, e.alpha)
     out = rotation_number(c, n=n)
     rec = {"rho": out["rho"], "error_bar": out["error_bar"]}
     _write(out_dir, "rotnum.json", json.dumps(rec) + "\n")

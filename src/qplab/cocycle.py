@@ -6,12 +6,17 @@ projective orbit, and the renormalization iterates with their commutation
 identity.  One kernel, `_transfer_grid`, serves every transfer product: any
 integer n (n < 0 by the inverse-product convention) at any set of phases.
 
+Every fiber is a 2x2 FourierSeries, read at many points as one product of
+phases e^{2 pi i k x} (points x modes) and coefficients (modes x entries),
+a real series over k >= 0 only (`udspace._modes`).  The Schrodinger fiber
+is the real series [[E - V, -1], [1, 0]].
+
 The rotation number reads each projective step through a lift of the fiber
 that is continuous in theta: the angle of A(theta) e_1, unwrapped on a
 reference grid, which `rotation_number` certifies to close up.  Orbits
 evaluate the fiber in blocks of at most 4096 points rather than one step at
-a time; a series fiber reads each block off one shared phase block of at
-most 2^16 entries (up to 1024 modes), and a real one sums over k >= 0 only.
+a time, each block read off one shared phase block of at most 2^16 entries
+(up to 1024 modes).
 
 Grid products (`_transfer_grid`, `lyapunov_det_drift`) run on the chunked
 pairwise kernel of `sl2`: the fiber comes in entry-major chunks (2, 2, m, G)
@@ -24,18 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from . import sl2
 from .contfrac import CfExpansion
-from .udspace import FourierSeries
+from .udspace import FourierSeries, _modes
 
 RESCALE_EVERY = sl2._CHUNK  # every chunk length divides it
 _LIFT_GRID = 256  # reference grid of the e_1 lift, whose winding rotation_number reads
 _CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
-_PHASE_ENTRIES = 1 << 16  # most entries of the shared phase block of a series orbit (1 MB)
+_PHASE_ENTRIES = 1 << 16  # most entries of the shared phase block of an orbit (1 MB)
 
 
 class WindingError(Exception):
@@ -56,55 +60,39 @@ class RenormOverflow(ArithmeticError):
 
 @dataclass
 class QpCocycle:
-    """(alpha, A): base rotation by alpha, fiber A(theta) in SL(2,R).
-
-    The fiber is either a 2x2 FourierSeries or an exact closure theta -> (2,2) array
-    (used for Schrodinger/AMO fibers so no Fourier truncation enters).
-    """
+    """(alpha, A): base rotation by alpha, fiber A(theta) in SL(2,R) given as a 2x2 FourierSeries."""
 
     alpha: float
-    fiber: Callable[[np.ndarray], np.ndarray]
-    series: Optional[FourierSeries] = None
+    series: FourierSeries
 
     @classmethod
     def from_series(cls, alpha: float, A: FourierSeries) -> "QpCocycle":
-        return cls(alpha, lambda th: A(th), series=A)
-
-    def __call__(self, theta):
-        return self.fiber(np.asarray(theta, dtype=float))
+        return cls(alpha, A)
 
     def _e1_lift(self) -> np.ndarray:
         """Angle of A(theta) e_1 in units of pi at theta = j/256, j = 0..256, unwrapped in theta."""
-        vals = self.fiber(np.arange(_LIFT_GRID + 1) / _LIFT_GRID)
+        vals = self.series(np.arange(_LIFT_GRID + 1) / _LIFT_GRID)
         return np.unwrap(np.arctan2(vals[..., 1, 0], vals[..., 0, 0])) / np.pi
 
 
 def schrodinger(V: FourierSeries, E: float, alpha: float = 0.0) -> QpCocycle:
-    """Schrodinger cocycle fiber [[E - V(theta), -1], [1, 0]]."""
+    """Schrodinger cocycle, fiber the real series [[E - V(theta), -1], [1, 0]]."""
     if not V.check_real(1e-10):
         raise ValueError("potential must be real-valued")
-
-    def fiber(th):
-        return sl2.schrodinger_fiber(np.real(V(th)), E)
-
-    return QpCocycle(alpha, fiber)
+    c = np.zeros((2, 2, 2 * V.K + 1), dtype=complex)
+    c[0, 0] = -V.coeffs
+    c[0, 0, V.K] += E
+    c[0, 1, V.K], c[1, 0, V.K] = -1.0, 1.0
+    return QpCocycle(alpha, FourierSeries(c, True))
 
 
 def amo(lam: float, E: float, alpha: float = 0.0) -> QpCocycle:
     """Almost Mathieu fiber with the 1-periodic convention V = 2 lam cos(2 pi theta)."""
-
-    def fiber(th):
-        return sl2.schrodinger_fiber(2.0 * lam * np.cos(2.0 * np.pi * np.asarray(th, dtype=float)), E)
-
-    return QpCocycle(alpha, fiber)
+    return schrodinger(FourierSeries.cosine(2.0 * lam), E, alpha)
 
 
 def rotation_cocycle(alpha: float, rho: float) -> QpCocycle:
-    def fiber(th):
-        th = np.asarray(th, dtype=float)
-        return np.broadcast_to(sl2.rot(rho), th.shape + (2, 2)).copy()
-
-    return QpCocycle(alpha, fiber)
+    return QpCocycle(alpha, FourierSeries.constant(sl2.rot(rho)))
 
 
 def _frac(x):
@@ -113,17 +101,23 @@ def _frac(x):
 
 
 def _grid_chunks(c: QpCocycle, thetas: np.ndarray, n: int):
-    """Fibers at thetas + j alpha (mod 1) for j = 0..n-1 as entry-major chunks (2, 2, m, G).
+    """Fibers at thetas + j alpha for j = 0..n-1 as entry-major chunks (2, 2, m, G).
 
-    m = sl2._chunk_steps(G) divides RESCALE_EVERY, so every chunk that is not
+    A chunk is one product: the step phases e^{2 pi i k frac(j alpha)}
+    (steps x modes) times the coefficients at the grid phases
+    e^{2 pi i k theta_g} (modes x 4G, built once per call).  m =
+    sl2._chunk_steps(G) divides RESCALE_EVERY, so every chunk that is not
     the last one ends on a rescaling step, and at most max(4096, G) points
     are held.
     """
-    m = sl2._chunk_steps(thetas.size)
+    G = thetas.size
+    ks, cols = _modes(c.series)
+    right = (cols[:, :, None] * np.exp(2j * np.pi * np.outer(ks, thetas))[:, None, :]).reshape(ks.size, -1)
+    m = sl2._chunk_steps(G)
     for j0 in range(0, n, m):
-        js = np.arange(j0, min(j0 + m, n))
-        vals = c.fiber(_frac(thetas + js[:, None] * c.alpha))
-        yield np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
+        steps = _frac(np.arange(j0, min(j0 + m, n)) * c.alpha)
+        vals = (np.exp(2j * np.pi * np.outer(steps, ks)) @ right).reshape(-1, 2, 2, G)
+        yield np.ascontiguousarray(np.moveaxis(vals.real if c.series.real_flag else vals, 0, 2))
 
 
 def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
@@ -133,7 +127,7 @@ def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     identity.  n < 0 gives the inverse product
     A(theta + n alpha)^{-1} ... A(theta - alpha)^{-1}, computed as the -n
     step product of the fiber A^{-1} over the rotation by -alpha from
-    theta - alpha.
+    theta - alpha; A^{-1} is the adjugate of A, taken coefficientwise.
 
     Each chunk of steps from `_grid_chunks` is multiplied by pairwise
     reduction (`_chunk_product`) and then onto the running product, which is
@@ -145,9 +139,9 @@ def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     rounding, not bit for bit.
     """
     if n < 0:
-        fiber = c.fiber
-        thetas, n = thetas - c.alpha, -n
-        c = QpCocycle(-c.alpha, lambda th: sl2.inv_det1(fiber(th)))
+        (a11, a12), (a21, a22) = c.series.coeffs
+        adj = FourierSeries(np.array([[a22, -a12], [-a21, a11]]), c.series.real_flag)
+        thetas, n, c = thetas - c.alpha, -n, QpCocycle(-c.alpha, adj)
     G = thetas.size
     acc = np.zeros((2, 2, G))
     acc[0, 0] = acc[1, 1] = 1.0
@@ -200,51 +194,38 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
     Yields (thetas, mats).  A block is cut into sub-blocks of R points:
     point r of sub-block i sits at theta = (t_i + s_r) mod 1, where
     s_r = r alpha mod 1 and t_i = (block start + (i R alpha mod 1)) mod 1,
-    so the thetas carry the bits the phases below are built from.  A
-    closure fiber takes R = 4096 and is called at those thetas.  A series
-    fiber takes each block as one product phase @ C instead of an
-    exponential per point and mode: the shared phase block holds the powers
-    z_r^k of z_r = e^{2 pi i s_r}, from one running product whose error
-    grows like k eps, and C the coefficients times the start phases
+    so the thetas carry the bits the phases below are built from.  Each
+    block is one product phase @ C instead of an exponential per point and
+    mode: the shared phase block holds the powers z_r^k of
+    z_r = e^{2 pi i s_r}, from one running product whose error grows like
+    k eps, and C the coefficients (`udspace._modes`) times the start phases
     e^{2 pi i k t_i}.  R is the largest power of two up to 4096 with R
     times the number of modes at most _PHASE_ENTRIES, but at least 64, so
-    up to 1024 modes the phase block takes at most 1 MB whatever K is.  A
-    real series sums over k >= 0 only, with d_0 = c_0 and
-    d_k = c_k + conj(c_{-k}): for |w| = 1, Re sum_k c_k w^k equals
-    Re sum_{k>=0} d_k w^k for any coefficients.
+    up to 1024 modes the phase block takes at most 1 MB whatever K is.
     """
     A = c.series
+    ks, cols = _modes(A)
     steps = _frac(c.alpha * np.arange(min(sl2._BATCH, n)))
     R = sl2._BATCH
-    if A is not None:
-        K = A.K
-        cols = A.coeffs.reshape(4, -1).T
-        if A.real_flag:
-            cols = np.concatenate([cols[K:K + 1], cols[K + 1:] + np.conj(cols[:K][::-1])])
-        ks = np.arange(0 if A.real_flag else -K, K + 1)
-        while R > 64 and R * ks.size > _PHASE_ENTRIES:
-            R //= 2
-        z = np.exp(2j * np.pi * steps[:R])
-        pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, K)), axis=1)
-        neg = [] if A.real_flag else [np.conj(pos[:, ::-1])]
-        phase = np.concatenate(neg + [np.ones((z.size, 1)), pos], axis=1)
-        del pos
+    while R > 64 and R * ks.size > _PHASE_ENTRIES:
+        R //= 2
+    z = np.exp(2j * np.pi * steps[:R])
+    pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, A.K)), axis=1)
+    neg = [] if A.real_flag else [np.conj(pos[:, ::-1])]
+    phase = np.concatenate(neg + [np.ones((z.size, 1)), pos], axis=1)
+    del pos
     starts, sub = steps[::R], steps[:R]
     th = theta0
     for j in range(0, n, sl2._BATCH):
         m = min(sl2._BATCH, n - j)
         t = _frac(th + starts[:-(-m // R)])
         thetas = _frac(t[:, None] + sub[:m]).ravel()[:m]
-        if A is None:
-            mats = c.fiber(thetas)
-        else:
-            # C[k, i, entry]: coefficient times start phase of sub-block i
-            C = np.exp(2j * np.pi * np.outer(ks, t))[:, :, None] * cols[:, None, :]
-            vals = phase @ C.reshape(ks.size, -1)
-            del C  # not held while the next block builds its own
-            vals = vals.reshape(len(sub), -1, 4).swapaxes(0, 1).reshape(-1, 2, 2)[:m]
-            mats = np.real(vals) if A.real_flag else vals
-        yield thetas, mats
+        # C[k, i, entry]: coefficient times start phase of sub-block i
+        C = np.exp(2j * np.pi * np.outer(ks, t))[:, :, None] * cols[:, None, :]
+        vals = phase @ C.reshape(ks.size, -1)
+        del C  # not held while the next block builds its own
+        vals = vals.reshape(len(sub), -1, 4).swapaxes(0, 1).reshape(-1, 2, 2)[:m]
+        yield thetas, (np.real(vals) if A.real_flag else vals)
         th = (th + c.alpha * m) % 1.0
 
 

@@ -148,7 +148,7 @@ def ldt_experiment(
     The window C1 q^sigma < N < C2 q^sigma1 is checked (warn-only, the
     constants are existential).
     """
-    rat = QpCocycle(a / q, c.fiber)
+    rat = QpCocycle(a / q, c.series)
     G = grid_mult * q
     th = np.arange(G) / G
     mats, log_scale = _transfer_grid(rat, th, N)
@@ -237,7 +237,7 @@ def strip_log_norm_bound(A_tr: FourierSeries, rho_N: float, N: int, alpha: float
 def lyapunov_truncation_gap(c_full: QpCocycle, A_tr: FourierSeries, alpha: float, N: int,
                             log_c: float, b: float) -> dict:
     """|L_N(alpha, A) - L_N(alpha, A-tilde)| against e^{-(c/2) N^b}."""
-    full = QpCocycle(alpha, c_full.fiber)
+    full = QpCocycle(alpha, c_full.series)
     trunc = QpCocycle.from_series(alpha, A_tr)
     L1 = finite_lyapunov(full, N)
     L2 = finite_lyapunov(trunc, N)
@@ -302,7 +302,7 @@ def periodic_ln_bound(V: FourierSeries, p: int, q: int, E: float, n: int) -> dic
     rad = np.where(half > 1.0, half + np.sqrt(np.maximum(half * half - 1.0, 0.0)), 1.0)
     L_per = float(np.mean(np.log(rad))) / q
     Ln = finite_lyapunov(c, n, 128)
-    fib = c.fiber(th)
+    fib = c.series(th)
     C1 = float(np.max(np.log(sl2.op_norm(fib))))
     m = n // q
     bound = L_per + 2.0 / n * (math.log(max(m, 1)) + q * C1)

@@ -191,8 +191,10 @@ def sl2_log_dev(dev: np.ndarray) -> np.ndarray:
     result keeps relative accuracy when ||dev|| is tiny.
     """
     dev = np.asarray(dev)
+    if np.iscomplexobj(dev):
+        raise TypeError(f"sl2_log_dev takes real deviation grids, not {dev.dtype}")
     w1 = tr2(dev) / 2.0  # w - 1
-    f = _log_factor(1.0 + np.real(w1)) if np.iscomplexobj(dev) else _log_factor(1.0 + w1)
+    f = _log_factor(1.0 + w1)
     return (dev - w1[..., None, None] * np.eye(2)) * f[..., None, None]
 
 

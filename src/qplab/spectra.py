@@ -32,7 +32,7 @@ import numpy as np
 
 from . import sl2
 from .sl2 import frob, schrodinger_fiber
-from .udspace import FourierSeries
+from .udspace import FourierSeries, _modes
 
 
 class BandIndexAmbiguous(Exception):
@@ -165,9 +165,11 @@ class Discriminant:
     def block(self, E, theta) -> np.ndarray:
         """The q-step block A(theta + (q-1) p/q) ... A(theta), shape broadcast(E, theta) + (2, 2).
 
-        V at theta + s p/q is one product per chunk of steps: the phase
-        matrix Vhat_k e^{2 pi i k theta} (modes x theta points) times the
-        shift matrix e^{2 pi i k (s p mod q)/q} (steps x modes).  The fibers
+        V at theta + s p/q is one product per chunk of steps: the chunk's
+        rows of the shift matrix e^{2 pi i k (s p mod q)/q} (steps x modes)
+        times the phase matrix Vhat_k e^{2 pi i k theta} (modes x theta
+        points), both built once, a real V summing over k >= 0 only
+        (`udspace._modes`).  The fibers
         come in entry-major chunks (2, 2, m, ...) of m = sl2._chunk_steps(P)
         steps for P points, so at most max(4096, P) are held; each chunk is
         multiplied by pairwise reduction and then onto the running product.
@@ -178,9 +180,9 @@ class Discriminant:
         th = np.asarray(theta, dtype=float)
         shape = np.broadcast_shapes(E.shape, th.shape)
         th = (th - np.floor(th)).reshape((1,) * (len(shape) - th.ndim) + th.shape)
-        ks = self.V.ks()
-        phase = self.V.coeffs[:, None] * np.exp(2j * np.pi * np.outer(ks, th))
-        shifts = np.arange(self.q) * self.p % self.q / self.q
+        ks, cols = _modes(self.V)
+        phase = cols * np.exp(2j * np.pi * np.outer(ks, th))
+        shifts = np.exp(2j * np.pi * np.outer(np.arange(self.q) * self.p % self.q / self.q, ks))
         m = sl2._chunk_steps(math.prod(shape))
         fib = np.zeros((2, 2, m) + shape)
         fib[0, 1], fib[1, 0] = -1.0, 1.0
@@ -188,9 +190,8 @@ class Discriminant:
         acc[0, 0] = acc[1, 1] = 1.0
         for s0 in range(0, self.q, m):
             s = shifts[s0:s0 + m]
-            v = np.real(np.exp(2j * np.pi * np.outer(s, ks)) @ phase).reshape(s.shape + th.shape)
-            fib[0, 0, :s.size] = E - v
-            acc = sl2._mul(sl2._chunk_product(fib[:, :, :s.size]), acc)
+            fib[0, 0, :len(s)] = E - np.real(s @ phase).reshape((len(s),) + th.shape)
+            acc = sl2._mul(sl2._chunk_product(fib[:, :, :len(s)]), acc)
         return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def value(self, E, theta) -> np.ndarray:

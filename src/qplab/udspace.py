@@ -309,6 +309,22 @@ def _grid_values(f: "FourierSeries", G: int) -> np.ndarray:
     return np.real(vals) if f.real_flag else vals
 
 
+def _modes(f: "FourierSeries"):
+    """(ks, cols): f(theta) = sum_i cols[i] e^{2 pi i ks[i] theta}, its real part for a real f.
+
+    cols has one column per entry of f, row-major.  A real f is folded onto
+    k >= 0, d_0 = c_0 and d_k = c_k + conj(c_{-k}): Re sum_k c_k w^k equals
+    Re sum_{k>=0} d_k w^k for |w| = 1 and any coefficients.
+    """
+    K = f.K
+    cols = f.coeffs.reshape(-1, 2 * K + 1).T
+    if not f.real_flag:
+        return f.ks(), cols
+    d = cols[K:].copy()
+    d[1:] += cols[:K][::-1].conj()
+    return np.arange(K + 1), d
+
+
 @dataclass
 class FourierSeries:
     """Finitely supported Fourier coefficients of a 1-periodic map.

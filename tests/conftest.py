@@ -33,6 +33,17 @@ def random_real_series(rng, K, amp=1.0, decay=1.0):
     return FourierSeries(amp * (c + np.conj(c[::-1])) / 2.0, True)
 
 
+def ud_potential():
+    """Seeded real series of degree 40, |Vhat_k| ~ e^{-|k|^0.5}, l1 norm 1."""
+    from qplab.udspace import FourierSeries
+
+    rng = np.random.default_rng(0)
+    k = np.arange(-40, 41)
+    c = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size)) * np.exp(-np.abs(k) ** 0.5)
+    c = (c + np.conj(c[::-1])) / 2.0
+    return FourierSeries(c / np.sum(np.abs(c)), True)
+
+
 def fresh_modules(code: str, names) -> list:
     """The `names` found in sys.modules after `code` runs in a fresh interpreter."""
     probe = f"{code}\nimport sys; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"

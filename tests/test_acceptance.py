@@ -166,10 +166,7 @@ def test_c04_ud_calculus():
 
 def test_c05_cocycle_layer():
     t0 = time.perf_counter()
-    diag = QpCocycle(
-        GOLDEN,
-        lambda th: np.broadcast_to(np.diag([2.0, 0.5]), np.asarray(th).shape + (2, 2)).copy(),
-    )
+    diag = QpCocycle(GOLDEN, FourierSeries.constant(np.diag([2.0, 0.5])))
     e1 = abs(finite_lyapunov(diag, 50) - math.log(2))
     e2 = abs(finite_lyapunov(rotation_cocycle(GOLDEN, 0.37), 100))
     e3 = max(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qplab.sl2 as sl2
-from conftest import random_real_series
+from conftest import random_real_series, ud_potential
 from qplab import spectra
 from qplab.cocycle import (
     RESCALE_EVERY,
@@ -33,8 +33,14 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def const_cocycle(alpha, m):
-    m = np.asarray(m, dtype=float)
-    return QpCocycle(alpha, lambda th: np.broadcast_to(m, np.asarray(th).shape + (2, 2)).copy())
+    return QpCocycle(alpha, FourierSeries.constant(m))
+
+
+def _rot_theta_series():
+    """R_theta, the rotation by 2 pi theta: cos and sin of 2 pi theta as K = 1 series."""
+    cos = FourierSeries.cosine(1.0)
+    sin = FourierSeries.from_dict({1: -0.5j, -1: 0.5j}, real_flag=True)
+    return MatSeries.from_entries(cos, sin * (-1.0), sin, cos)
 
 
 def _rotation_number_loop(c, n, theta0=0.0, y0=0.3):
@@ -49,7 +55,7 @@ def _rotation_number_loop(c, n, theta0=0.0, y0=0.3):
     j = 0
     while j < n:
         m = min(4096, n - j)
-        mats = c.fiber(np.mod(th + alpha * np.arange(m), 1.0))
+        mats = c.series(np.mod(th + alpha * np.arange(m), 1.0))
         for i in range(m):
             new = mats[i] @ vec
             new /= math.hypot(new[0], new[1])
@@ -80,12 +86,18 @@ def _near_rotation_series(rng):
     )
 
 
+def _kernel_fibers(c, thetas, n):
+    """The fibers of `_grid_chunks`, one (G, 2, 2) array per step."""
+    for chunk in _grid_chunks(c, thetas, n):
+        yield from np.moveaxis(chunk, (0, 1), (-2, -1))
+
+
 def _transfer_grid_steps(c, thetas, n):
-    """Reference: _transfer_grid with one fiber evaluation per step."""
+    """Reference: the sequential product of the kernel's fibers, rescaled as _transfer_grid rescales."""
     acc = np.broadcast_to(np.eye(2), (thetas.size, 2, 2)).copy()
     log_scale = np.zeros(thetas.size)
-    for j in range(n):
-        acc = c.fiber(np.mod(thetas + j * c.alpha, 1.0)) @ acc
+    for j, fiber in enumerate(_kernel_fibers(c, thetas, n)):
+        acc = fiber @ acc
         if (j + 1) % RESCALE_EVERY == 0:
             s = np.max(np.abs(acc), axis=(1, 2))
             acc /= s[:, None, None]
@@ -103,10 +115,10 @@ def _transfer_steps(c, theta, n):
     acc = np.eye(2)
     log_scale = 0.0
     if n > 0:
-        steps = theta + c.alpha * np.arange(n)
+        steps = theta + _frac(c.alpha * np.arange(n))
     else:
-        steps = theta + c.alpha * np.arange(-1, n - 1, -1)
-    vals = c.fiber(np.mod(steps, 1.0))
+        steps = theta + _frac(c.alpha * np.arange(-1, n - 1, -1))
+    vals = c.series(_frac(steps))
     if n < 0:
         vals = sl2.inv_det1(vals)
     for j in range(abs(n)):
@@ -130,15 +142,15 @@ def _det_drift_steps(c, n, grid=64, block=4):
     for start in range(0, n, block):
         acc = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
         for j in range(start, min(start + block, n)):
-            acc = c.fiber(np.mod(th + j * c.alpha, 1.0)) @ acc
+            acc = c.series(np.mod(th + j * c.alpha, 1.0)) @ acc
         drift += np.abs(np.log(np.abs(sl2.det2(acc))))
     return float(np.max(drift))
 
 
 def test_schrodinger_free_fiber():
     c = schrodinger(FourierSeries.zero(1), 0.0, GOLDEN)
-    assert np.allclose(c(0.37), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert np.max(np.abs(sl2.det2(c.fiber(np.arange(256) / 256)) - 1.0)) <= 1e-10
+    assert np.allclose(c.series(0.37), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.max(np.abs(sl2.det2(c.series(np.arange(256) / 256)) - 1.0)) <= 1e-10
 
 
 def test_schrodinger_trace_identity(rng):
@@ -146,31 +158,50 @@ def test_schrodinger_trace_identity(rng):
     E = 0.7
     c = schrodinger(V, E, GOLDEN)
     for th in rng.uniform(0, 1, 5):
-        m = c(float(th))
+        m = c.series(float(th))
         assert m[0, 0] + m[1, 1] == pytest.approx(E - float(np.real(V(float(th)))))
 
 
 def test_amo_is_schrodinger_with_cosine():
-    lam = 0.8
-    a = amo(lam, 0.3, GOLDEN)
-    s = schrodinger(FourierSeries.cosine(2 * lam), 0.3, GOLDEN)
-    th = np.linspace(0, 1, 17)
-    assert np.allclose(a(th), s(th), atol=1e-14)
+    """amo is the Schrodinger series of 2 lam cos 2 pi theta, coefficient for coefficient.
+
+    Its potential takes the values 2 lam cos 2 pi theta bit for bit.  The
+    2x2 point values sum E, -lam e^{2 pi i theta} and -lam e^{-2 pi i theta}
+    rather than E - 2 lam cos 2 pi theta, so they equal
+    sl2.schrodinger_fiber(2 lam cos 2 pi theta, E) bit for bit at E = 0 and
+    to 4 eps (|E| + 2 lam) otherwise (measured: at most 8.9e-16, at E = 2.8).
+    """
+    th = np.random.default_rng(5).random(1000)
+    for lam, E in ((0.8, 0.3), (3.0, 0.0), (1.5, 2.8), (0.2, -2.8)):
+        a = amo(lam, E, GOLDEN)
+        s = schrodinger(FourierSeries.cosine(2 * lam), E, GOLDEN)
+        assert a.alpha == s.alpha == GOLDEN and a.series.real_flag and s.series.real_flag
+        assert np.array_equal(a.series.coeffs, s.series.coeffs)
+        V = 2 * lam * np.cos(2 * np.pi * th)
+        assert np.array_equal(FourierSeries.cosine(2 * lam)(th), V)
+        gap = np.max(np.abs(a.series(th) - sl2.schrodinger_fiber(V, E)))
+        bound = 0.0 if E == 0.0 else 4 * np.finfo(float).eps * (abs(E) + 2 * lam)
+        assert gap <= bound, (lam, E, gap)
 
 
 def test_transfer_trivial_steps():
     c = amo(0.5, 0.0, GOLDEN)
     th = np.array([0.2])
     assert np.allclose(_transfer_grid(c, th, 0)[0][0], np.eye(2))
-    assert np.allclose(_transfer_grid(c, th, 1)[0][0], c(0.2))
+    assert np.allclose(_transfer_grid(c, th, 1)[0][0], c.series(0.2))
     back = _transfer_grid(c, th, -1)[0][0]
-    assert np.allclose(back, np.linalg.inv(c(0.2 - GOLDEN)), atol=1e-12)
+    assert np.allclose(back, np.linalg.inv(c.series(0.2 - GOLDEN)), atol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 def test_grid_products_of_any_n_match_per_step_product(lam):
     """_transfer_grid at n <= 0 and n > 0 against the per-step product, to the
-    tolerances of test_grid_products_match_per_step_evaluation; n = 0, 1, -1 exactly."""
+    tolerances of test_grid_products_match_per_step_evaluation; n = 0 exactly.
+
+    At n = 1 and n = -1 the product is one fiber from the chunk kernel, which
+    sums the modes in another order than point evaluation: they agree to
+    1e-14 (measured: 0 at n = 1, 1.8e-15 at n = -1).
+    """
     c = amo(lam, 0.4, GOLDEN)
     th = np.array([0.0, 0.123, 0.5, 0.871])
     for n in (-40, -7, -1, 0, 1, 2, 33, 500):
@@ -179,15 +210,33 @@ def test_grid_products_of_any_n_match_per_step_product(lam):
         if n == 0:
             assert np.array_equal(mats, np.broadcast_to(np.eye(2), mats.shape)) and not np.any(ls)
         if n == 1:
-            assert np.array_equal(mats, c.fiber(th)) and not np.any(ls)
+            assert np.max(np.abs(mats - c.series(th))) <= 1e-14 and not np.any(ls)
         if n == -1:
-            assert np.array_equal(mats, sl2.inv_det1(c.fiber(np.mod(th - GOLDEN, 1.0)))) and not np.any(ls)
+            inv = sl2.inv_det1(c.series(np.mod(th - GOLDEN, 1.0)))
+            assert np.max(np.abs(mats - inv)) <= 1e-14 and not np.any(ls)
         for i, t in enumerate(th):
             ref, ref_ls = _transfer_steps(c, float(t), n)
             gap = abs(_ln_norms(mats[i], ls[i]) - _ln_norms(ref, ref_ls))
             assert gap <= 1e-11, (n, t, gap)
             unit = mats[i] / np.max(np.abs(mats[i]))
             assert np.max(np.abs(unit - ref / np.max(np.abs(ref)))) <= 1e-11, (n, t)
+
+
+@pytest.mark.parametrize("E", [0.5, 2.5])
+def test_grid_products_of_a_high_degree_potential_match_per_point_product(E):
+    """_transfer_grid on the K = 40 Schrodinger cocycle against the per-point product of
+    _transfer_steps, with the same thetas: 1e-12 in ln||A_n|| and 1e-13 in the normalized
+    matrices (measured: at most 1.1e-13 at ln||A_n|| ~ 400, and 2.4e-15)."""
+    c = schrodinger(ud_potential(), E, GOLDEN)
+    th = np.arange(16) / 16 + 0.01
+    for n in (-7, 1, 500):
+        mats, ls = _transfer_grid(c, th, n)
+        for i, t in enumerate(th):
+            ref, ref_ls = _transfer_steps(c, float(t), n)
+            gap = abs(_ln_norms(mats[i], ls[i]) - _ln_norms(ref, ref_ls))
+            assert gap <= 1e-12, (n, t, gap)
+            unit = mats[i] / np.max(np.abs(mats[i]))
+            assert np.max(np.abs(unit - ref / np.max(np.abs(ref)))) <= 1e-13, (n, t)
 
 
 def test_cocycle_property():
@@ -247,7 +296,7 @@ def test_rotation_number_perturbation_bound(rng):
 
 
 def test_winding_check_rejects_nontrivial_fiber():
-    c = QpCocycle(GOLDEN, lambda th: sl2.rot(np.asarray(th)))
+    c = QpCocycle(GOLDEN, _rot_theta_series())
     with pytest.raises(WindingError):
         rotation_number(c, n=100)
 
@@ -256,12 +305,14 @@ def _rotation_number_cases(rng):
     cases = [(f"rotation rho={rho}", rotation_cocycle(GOLDEN, rho), 4000)
              for rho in (0.0, 0.1, 0.25, 0.35, 0.49)]
     # the angle of A(theta) e_1 crosses the branch cut of atan2 at pi
+    wobble = FourierSeries.constant(0.49) + FourierSeries.cosine(0.02)
     cases.append(("rotation by 0.49 + 0.02 cos", QpCocycle(
-        GOLDEN, lambda th: sl2.rot(0.49 + 0.02 * np.cos(2 * np.pi * np.asarray(th)))), 20_000))
+        GOLDEN, rotation_series(wobble, out_K=10)), 20_000))
     cases += [(f"schrodinger E={E}", schrodinger(FourierSeries.cosine(1.0), E, GOLDEN), 20_000)
               for E in (-2.4, -1.6, -0.8, 0.8, 1.6, 2.4)]
     cases.append(("near rotation", QpCocycle.from_series(GOLDEN, _near_rotation_series(rng)),
                   150_000))
+    cases.append(("schrodinger K=40 E=0.5", schrodinger(ud_potential(), 0.5, GOLDEN), 20_000))
     return cases
 
 
@@ -283,9 +334,12 @@ def test_rotation_number_against_ids():
 
 
 def test_rotation_number_rejects_unresolved_lift():
-    # winding 0, but between the 256 reference points the angle swings by 0.8 pi; a
-    # nonzero winding would raise a WindingError that is not a LiftResolutionError
-    c = QpCocycle(GOLDEN, lambda th: sl2.rot(0.4 * np.sin(2 * np.pi * 256 * np.asarray(th))))
+    # rot(0.4 sin 2 pi 256 theta): winding 0, but between the 256 reference points the
+    # angle swings by 0.8 pi; a nonzero winding would raise a WindingError that is not a
+    # LiftResolutionError.  Its coefficients at 256 k are Bessel values, below 1e-13 of
+    # the total past k = 17.
+    swing = FourierSeries.from_dict({256: -0.2j, -256: 0.2j}, real_flag=True)
+    c = QpCocycle(GOLDEN, rotation_series(swing, out_K=18 * 256))
     with pytest.raises(LiftResolutionError):
         rotation_number(c, n=1000)
     assert issubclass(LiftResolutionError, WindingError)
@@ -316,8 +370,11 @@ def test_orbit_fibers_match_point_evaluation(rng, K, kind):
         assert np.max(np.abs(mats - A(th))) <= 1e-12 * A.l1()
 
 
-def test_closure_orbit_fibers_keep_their_bits():
-    """A closure fiber sees the thetas (th + (j alpha mod 1)) mod 1 of the block start th, bit for bit."""
+def test_orbit_fibers_keep_their_theta_bits():
+    """An orbit block reports the thetas (th + (j alpha mod 1)) mod 1 of its start th, bit for bit.
+
+    The fibers at those thetas are checked by test_orbit_fibers_match_point_evaluation.
+    """
     c = amo(1.5, 0.3, GOLDEN)
     for theta0, n in ((0.0, 9000), (0.37, 5000), (0.0, 100)):
         steps = _frac(GOLDEN * np.arange(min(4096, n)))
@@ -326,7 +383,7 @@ def test_closure_orbit_fibers_keep_their_bits():
         th = theta0
         for j, (thetas, mats) in zip(range(0, n, 4096), blocks):
             want = _frac(th + steps[:min(4096, n - j)])
-            assert np.array_equal(thetas, want) and np.array_equal(mats, c.fiber(want))
+            assert np.array_equal(thetas, want) and mats.shape == (want.size, 2, 2)
             th = (th + GOLDEN * len(want)) % 1.0
 
 
@@ -359,9 +416,11 @@ def _ln_norms(mats, log_scale):
 def test_grid_products_match_per_step_evaluation(E):
     """Pairwise chunk products agree with the sequential per-step product to a stated tolerance.
 
+    Both multiply the same fibers, those of `_grid_chunks`, whose agreement
+    with point evaluation test_grid_chunks_end_on_rescaling_steps checks.
     The order of the products changed, so only n = 1 is bit-identical; the
-    tolerances are about twice the deviations seen at n = 1000 on 1000 points
-    (5.7e-12 in ln||A_n||, 4.2e-12 in the normalized matrices).
+    tolerances are about twice the deviations seen at n = 1000 on 1000
+    points (5.7e-12 in ln||A_n||, 4.2e-12 in the normalized matrices).
     """
     c = amo(3.0, E, GOLDEN)
     # 128 points take 32 steps per chunk, 600 and 1000 points take 4
@@ -384,14 +443,14 @@ def test_grid_products_match_per_step_evaluation(E):
 
 @pytest.mark.parametrize("E", [0.0, 2.0])
 def test_grid_products_match_exact_product(E):
-    """ln||A_n|| of _transfer_grid against a 50-digit product of the same float fibers."""
+    """ln||A_n|| of _transfer_grid against a 50-digit product of the same float fibers (`_grid_chunks`)."""
     import mpmath as mp
 
     c = amo(3.0, E, GOLDEN)
     th = np.arange(8) / 8
     n = 200
     mats, ls = _transfer_grid(c, th, n)
-    fibers = [c.fiber(np.mod(th + j * c.alpha, 1.0)) for j in range(n)]
+    fibers = list(_kernel_fibers(c, th, n))
     with mp.workdps(50):
         for i in range(th.size):
             acc = mp.eye(2)
@@ -429,7 +488,11 @@ def test_chunk_steps_rule(P, monkeypatch):
 
 @pytest.mark.parametrize("G", [1, 64, 100, 128, 600, 1000, 1664, 4352])
 def test_grid_chunks_end_on_rescaling_steps(G):
-    """Chunks hold sl2._chunk_steps(G) steps, so each ends on a rescaling step."""
+    """Chunks hold sl2._chunk_steps(G) steps, so each ends on a rescaling step.
+
+    Every step agrees with point evaluation at theta + (j alpha mod 1) to
+    1e-13 (measured: at most 1.1e-14, 48 eps).
+    """
     c = amo(3.0, 0.5, GOLDEN)
     th = np.arange(G) / G
     n = 70
@@ -438,8 +501,9 @@ def test_grid_chunks_end_on_rescaling_steps(G):
     assert [v.shape[2] for v in chunks] == [m] * (n // m) + ([n % m] if n % m else [])
     for k, v in enumerate(chunks):
         assert v.shape == (2, 2, v.shape[2], G) and v.flags.c_contiguous
-        j = k * m + v.shape[2] - 1
-        assert np.array_equal(v[:, :, -1], np.moveaxis(c.fiber(np.mod(th + j * c.alpha, 1.0)), 0, -1))
+        for i in range(v.shape[2]):
+            ref = np.moveaxis(c.series(_frac(th + _frac((k * m + i) * c.alpha))), 0, -1)
+            assert np.max(np.abs(v[:, :, i] - ref)) <= 1e-13, (G, k, i)
 
 
 def test_renorm_level_one_is_single_fiber(golden_cf):
@@ -448,7 +512,7 @@ def test_renorm_level_one_is_single_fiber(golden_cf):
     # A^(1,0) = A_{q_0} = one fiber evaluation at the rescaled point
     beta0 = golden_cf.beta[0]
     x = 0.73
-    expected = c(beta0 * x % 1.0)
+    expected = c.series(beta0 * x % 1.0)
     assert np.allclose(it["A_n0"](np.array([x]))[0], expected, atol=1e-12)
 
 

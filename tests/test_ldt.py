@@ -54,10 +54,7 @@ def test_scales_validation():
 
 
 def test_ldt_experiment_trivial():
-    diag = QpCocycle(
-        GOLDEN,
-        lambda th: np.broadcast_to(np.diag([3.0, 1 / 3.0]), np.asarray(th).shape + (2, 2)).copy(),
-    )
+    diag = QpCocycle(GOLDEN, FourierSeries.constant(np.diag([3.0, 1 / 3.0])))
     out = ldt_experiment(diag, 8, 13, N=40, kappa=0.01)
     assert out["measure"] == 0.0
     rot = rotation_cocycle(GOLDEN, 0.3)
@@ -220,7 +217,7 @@ def test_periodic_ln_bound_cases():
     th = np.arange(128) / 128
     from qplab.cocycle import schrodinger
 
-    C1 = float(np.max(np.log(sl2.op_norm(schrodinger(FourierSeries.cosine(2 * lam), 0.0, 0.5).fiber(th)))))
+    C1 = float(np.max(np.log(sl2.op_norm(schrodinger(FourierSeries.cosine(2 * lam), 0.0, 0.5).series(th)))))
     assert out["bound"] == pytest.approx(out["L_periodic"] + 2 * C1, rel=1e-9)
 
 

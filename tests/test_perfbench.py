@@ -45,3 +45,22 @@ def test_bench_pairs_claim_needs_a_gain_beyond_the_bound(monkeypatch):
     short = summary(0.80)
     assert short["change_wins"] == 10 and short["median_gap"] > short["parent_iqr"]
     assert not short["gain_rule_met"]
+
+
+def test_kernel_pairs_summary_reads_paired_ratios(monkeypatch):
+    """Median, quartiles and wins come from the pair ratios, not from the sides' own medians."""
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "scripts"))
+    import kernel_pairs
+
+    parent = [1.0 + 0.01 * i for i in range(21)]
+    # the change is 10% faster in every pair but the last two, where it is 10% slower
+    ratio = [0.9] * 19 + [1.1] * 2
+    pairs = {"faster": {"ratio": ratio, "parent": parent, "change": [p * r for p, r in zip(parent, ratio)]},
+             "same": {"ratio": [1.0] * 21, "parent": parent, "change": list(parent)}}
+    out = kernel_pairs.summarize(pairs, {"faster": True, "same": False})
+    fast, same = out["faster"], out["same"]
+    assert fast["pairs"] == 21 and fast["change_wins"] == 19 and fast["touched"]
+    assert fast["median_ratio"] == fast["q1"] == fast["q3"] == 0.9 and fast["iqr"] == 0.0
+    assert same["change_wins"] == 0 and same["median_ratio"] == 1.0 and not same["touched"]
+    assert fast["median_s"]["parent"] == same["median_s"]["change"] == 1.1
+    assert fast["median_s"]["change"] == round(1.1 * 0.9, 6)

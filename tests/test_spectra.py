@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fresh_modules
+from conftest import fresh_modules, ud_potential
 from qplab.spectra import (
     BandIndexAmbiguous,
     BandSet,
@@ -384,20 +384,11 @@ def test_supercritical_s_minus_empty_and_s_plus_moving_bands():
         assert 1 <= ss["S_plus"].count() <= q
 
 
-def _ud_potential():
-    """Seeded real series of degree 40, |Vhat_k| ~ e^{-|k|^0.5}, l1 norm 1."""
-    rng = np.random.default_rng(0)
-    k = np.arange(-40, 41)
-    c = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size)) * np.exp(-np.abs(k) ** 0.5)
-    c = (c + np.conj(c[::-1])) / 2.0
-    return FourierSeries(c / np.sum(np.abs(c)), True)
-
-
 def test_grid_s_minus_lies_in_sigma_for_a_high_degree_potential():
     # a grid maximum never exceeds the true one, so grid S_- contains the true
     # S_-; with too few phases for the degree-40 t(E, .) it pokes out of some
     # sigma(theta), by up to 2.4e-4 at 64 phases (q = 5) and 8.2e-7 at 704
-    V = _ud_potential()
+    V = ud_potential()
     thetas = np.random.default_rng(1).uniform(size=400)
     for p, q in ((3, 5), (5, 8), (8, 13)):
         sm = s_sets(V, p, q)["S_minus"]
@@ -460,7 +451,7 @@ def test_chambers_amplitude_large_q(p, q):
     assert abs(dev / (2.0 * lam**q) - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("V", [VAM(0.5), VAM(0.9), VAM(1.5), _ud_potential()],
+@pytest.mark.parametrize("V", [VAM(0.5), VAM(0.9), VAM(1.5), ud_potential()],
                          ids=["amo0.5", "amo0.9", "amo1.5", "ud40"])
 def test_block_matches_sequential_product(V):
     # each point is bounded by the rounding of a product of q fibers,
@@ -502,7 +493,7 @@ def _ref_floquet_edges(V, p, q, thetas):
     return edges
 
 
-@pytest.mark.parametrize("V", [VAM(0.5), VAM(1.5), _ud_potential()],
+@pytest.mark.parametrize("V", [VAM(0.5), VAM(1.5), ud_potential()],
                          ids=["amo0.5", "amo1.5", "ud40"])
 def test_floquet_edges_in_one_solve_match_two(V):
     for p, q in ((0, 1), (1, 2), (5, 8), (13, 21)):

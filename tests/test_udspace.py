@@ -271,6 +271,12 @@ def test_exp_kernels_refuse_complex_grids(kernel):
         getattr(sl2, kernel)(X)
 
 
+def test_log_dev_refuses_complex_grids():
+    dev = np.array([[1e-3, 2e-3], [1e-3 * (1.0 + 0.3j), -1e-3]])
+    with pytest.raises(TypeError, match="sl2_log_dev"):
+        sl2.sl2_log_dev(dev)
+
+
 # -- the single-branch kernels against their two-branch np.where forms ------
 
 
