@@ -90,7 +90,9 @@ def calls(lab: SimpleNamespace) -> dict:
     The first three are the cocycle-dichotomy operations that read cocycle
     fibers, on that workload's inputs at golden alpha; then the Chambers
     ladders of spectra-golden, the K = 40 potential's finite_lyapunov and
-    rotation_number, and two controls.
+    rotation_number, the renormalization iterates of almost Mathieu at
+    lam = 0.5 and levels 1-8 with their commutation residuals (one iterate
+    of each level is an inverse product, n < 0), and two controls.
     """
     co, FS, W = lab.cocycle, lab.udspace.FourierSeries, CocycleDichotomy
     gaps = [co.schrodinger(FS.cosine(1.0), E, GOLDEN) for E in W.gap_energies]
@@ -98,6 +100,7 @@ def calls(lab: SimpleNamespace) -> dict:
     ladders = [(FS.cosine(2.0 * lam), golden_convergents(q_max)) for lam, q_max in SpectraGolden.chambers_ladders]
     ud = co.schrodinger(ud_potential(FS), 0.5, GOLDEN)
     g, M, ln_r = homotopy_input(lab)
+    cf, renorm_xs = lab.contfrac.expand("golden", 10), np.linspace(0.0, 2.0, 9)
     return {
         "rotation_number gap energies": (True, lambda: [co.rotation_number(c, n=W.rot_n) for c in gaps]),
         "finite_lyapunov energies": (True, lambda: [co.finite_lyapunov(c, 4000, grid=128) for c in lyap]),
@@ -108,6 +111,8 @@ def calls(lab: SimpleNamespace) -> dict:
                                             for V, conv in ladders for p, q in conv]),
         "finite_lyapunov K=40": (True, lambda: co.finite_lyapunov(ud, 2000, grid=128)),
         "rotation_number K=40": (True, lambda: co.rotation_number(ud, n=100_000)),
+        "renorm_iterates levels 1-8": (True, lambda: [co.commutation_residual(co.renorm_iterates(
+            co.amo(0.5, 0.0, GOLDEN), cf, n), renorm_xs) for n in range(1, 9)]),
         "homotopy_conjugate": (False, lambda: lab.kam.homotopy_conjugate(0.25, g, GOLDEN, 1e6, M, ln_r)),
         "expand + select_bridges": (False, lambda: lab.contfrac.select_bridges(
             lab.contfrac.expand("golden", 25000), 25.0)),

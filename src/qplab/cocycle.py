@@ -18,11 +18,18 @@ evaluate the fiber in blocks of at most 4096 points rather than one step at
 a time, each block read off one shared phase block of at most 2^16 entries
 (up to 1024 modes).
 
-Grid products (`_transfer_grid`, `lyapunov_det_drift`) run on the chunked
-pairwise kernel of `sl2`: the fiber comes in entry-major chunks (2, 2, m, G)
-of m steps on a G-point theta grid, m a power of two dividing RESCALE_EVERY
-with m G <= 4096 unless m = 1, so no partial product covers more than
-RESCALE_EVERY consecutive steps.
+Grid products (`_transfer_grid`, `lyapunov_det_drift`) multiply runs of
+consecutive steps (`_period_products`) in step order, vectorized over the
+runs of a block and the theta grid; `_transfer_grid` continues its running
+product with the first run of each block, folds the others onto it in
+order and rescales after each run of RESCALE_EVERY steps, so no partial
+product covers more than RESCALE_EVERY consecutive steps, and a grid whose
+blocks hold one run each is multiplied in step order.  A Schrodinger-shaped series (real, with the constant entries -1, 1
+and 0 beside E - V) is built and stepped on its one varying entry
+x = E - V alone, by the recurrence (a, b, c, d) <- (x a - c, x b - d, a, b)
+of [[x, -1], [1, 0]] [[a, b], [c, d]]; the orbit of `rotation_number` reads
+x alone too.  Any other series steps by `sl2._mul`.  At most max(2^16, 4G)
+fiber values are held at once.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from . import sl2
 from .contfrac import CfExpansion
 from .udspace import FourierSeries, _modes
 
-RESCALE_EVERY = sl2._CHUNK  # every chunk length divides it
+RESCALE_EVERY = 32  # steps of a grid product between rescales, the most a partial product covers
+_HELD = 1 << 16  # most fiber values and step phases a grid product builds at once (512 KB)
 _LIFT_GRID = 256  # reference grid of the e_1 lift, whose winding rotation_number reads
 _CHAIN = 64  # sequential steps of one prefix product in the orbit kernel
 _PHASE_ENTRIES = 1 << 16  # most entries of the shared phase block of an orbit (1 MB)
@@ -100,24 +108,92 @@ def _frac(x):
     return x - np.floor(x)
 
 
-def _grid_chunks(c: QpCocycle, thetas: np.ndarray, n: int):
-    """Fibers at thetas + j alpha for j = 0..n-1 as entry-major chunks (2, 2, m, G).
+def _schrodinger_shaped(A: FourierSeries) -> bool:
+    """A is real and its (0,1), (1,0) and (1,1) rows are exactly the constants -1, 1 and 0."""
+    c, K = A.coeffs, A.K
+    return (A.real_flag and c[0, 1, K] == -1.0 and c[1, 0, K] == 1.0
+            and np.count_nonzero(c[(0, 1, 1), (1, 0, 1)]) == 2)
 
-    A chunk is one product: the step phases e^{2 pi i k frac(j alpha)}
+
+def _grid_fibers(c: QpCocycle, thetas: np.ndarray, x_only: bool):
+    """(values, held): the fibers at thetas + frac(j alpha) for blocks of steps j.
+
+    values(js) is one product: the step phases e^{2 pi i k frac(j alpha)}
     (steps x modes) times the coefficients at the grid phases
-    e^{2 pi i k theta_g} (modes x 4G, built once per call).  m =
-    sl2._chunk_steps(G) divides RESCALE_EVERY, so every chunk that is not
-    the last one ends on a rescaling step, and at most max(4096, G) points
-    are held.
+    d_k e^{2 pi i k theta_g} (modes x entries G, built once), as cosines and
+    sines for a real series.  Its rows follow js and its columns are
+    (entry, g), row-major; with x_only the one entry is (0, 0), the
+    x = E - V of a Schrodinger-shaped series, the (0, 0) column of
+    `udspace._modes`.  held is the most steps one call should take: then it
+    holds at most max(2^16, entries G) values and 2^16 step phases.
+    """
+    A = c.series
+    ks, cols = _modes(A)
+    if x_only:
+        cols = cols[:, :1]
+    right = (cols[:, :, None] * np.exp(2j * np.pi * np.outer(ks, thetas))[:, None, :]).reshape(ks.size, -1)
+    if A.real_flag:  # Re(z w) = Re z Re w - Im z Im w
+        right = np.concatenate([right.real, -right.imag])
+
+    def values(js: np.ndarray) -> np.ndarray:
+        ang = np.outer(_frac(js * c.alpha), 2.0 * np.pi * ks)
+        if not A.real_flag:
+            return np.exp(1j * ang) @ right
+        phase = np.empty((js.size, 2 * ks.size))
+        np.cos(ang, out=phase[:, :ks.size])
+        np.sin(ang, out=phase[:, ks.size:])
+        del ang  # not held beside the product
+        return phase @ right
+
+    return values, max(1, _HELD // max(right.shape))
+
+
+def _period_products(c: QpCocycle, thetas: np.ndarray, n: int, period: int):
+    """Products of the fibers over the runs of `period` consecutive steps from thetas, in step order.
+
+    Yields entry-major stacks (2, 2, R, G): run r of the product starting at
+    step j is A(theta + (j + period - 1) alpha) ... A(theta + j alpha), and
+    the last run is shorter when period does not divide n.  Each run is
+    multiplied in step order, vectorized over the runs of a stack and the G
+    phases, on the values of `_grid_fibers`: a run on a large grid is built
+    in sub-blocks of its steps.  send(start) resumes the generator with a
+    (2, 2, G) product that the first run of the next stack continues
+    instead of starting from the identity, so a product whose stacks hold
+    one run each is multiplied in step order throughout: for a Schrodinger
+    series, on grids of more than 2^15 / period points.  A Schrodinger-shaped series
+    (`_schrodinger_shaped`) builds its one varying entry x only and steps by
+    the recurrence (a, b, c, d) <- (x a - c, x b - d, a, b), the rows of
+    [[x, -1], [1, 0]] [[a, b], [c, d]]; any other series steps by `sl2._mul`.
     """
     G = thetas.size
-    ks, cols = _modes(c.series)
-    right = (cols[:, :, None] * np.exp(2j * np.pi * np.outer(ks, thetas))[:, None, :]).reshape(ks.size, -1)
-    m = sl2._chunk_steps(G)
-    for j0 in range(0, n, m):
-        steps = _frac(np.arange(j0, min(j0 + m, n)) * c.alpha)
-        vals = (np.exp(2j * np.pi * np.outer(steps, ks)) @ right).reshape(-1, 2, 2, G)
-        yield np.ascontiguousarray(np.moveaxis(vals.real if c.series.real_flag else vals, 0, 2))
+    schro = _schrodinger_shaped(c.series)
+    values, held = _grid_fibers(c, thetas, schro)
+    runs = max(1, held // period)
+    full, rest = divmod(n, period)
+    groups = [(r, min(runs, full - r), period) for r in range(0, full, runs)]
+    start = None
+    for r0, R, L in groups + ([(full, 1, rest)] if rest else []):
+        P = R * G
+        acc = np.zeros((2, 2, P), float if c.series.real_flag else complex)
+        acc[0, 0] = acc[1, 1] = 1.0
+        if start is not None:
+            acc[:, :, :G] = start
+        if schro:  # upper (a, b) and lower (c, d) rows of the running products
+            up, lo, t = acc[0], acc[1], np.empty((2, P))
+        h = max(1, min(L, held // R))
+        for i0 in range(0, L, h):
+            vals = values((np.arange(i0, min(L, i0 + h))[:, None] + period * np.arange(r0, r0 + R)).ravel())
+            if schro:
+                for step in vals.reshape(-1, P):
+                    np.multiply(step, up, out=t)
+                    np.subtract(t, lo, out=lo)
+                    up, lo = lo, up
+            else:
+                vals = np.moveaxis(vals.reshape(-1, R, 2, 2, G), 1, 3).reshape(-1, 2, 2, P)
+                for step in vals:
+                    acc = sl2._mul(step, acc)
+            del vals, step  # not held while the next block builds its own
+        start = yield (np.stack([up, lo]) if schro else acc).reshape(2, 2, R, G)
 
 
 def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
@@ -126,35 +202,52 @@ def _transfer_grid(c: QpCocycle, thetas: np.ndarray, n: int):
     The product is A_n(theta) = mats * exp(log_scales).  n = 0 gives the
     identity.  n < 0 gives the inverse product
     A(theta + n alpha)^{-1} ... A(theta - alpha)^{-1}, computed as the -n
-    step product of the fiber A^{-1} over the rotation by -alpha from
-    theta - alpha; A^{-1} is the adjugate of A, taken coefficientwise.
+    step product over the rotation by -alpha from theta - alpha: for a
+    Schrodinger-shaped series, S(x)^{-1} = W S(x) W with W = [[0, 1], [1, 0]],
+    so it is W (the -n step product of the series itself) W, by exact entry
+    swaps; for any other series, of the adjugate A^{-1}, taken coefficientwise.
 
-    Each chunk of steps from `_grid_chunks` is multiplied by pairwise
-    reduction (`_chunk_product`) and then onto the running product, which is
-    rescaled to max entry 1 every RESCALE_EVERY steps with the logs of the
-    factors kept apart.  No partial product covers more than RESCALE_EVERY
-    consecutive steps, as in a sequential product between rescales, and no
-    more than max(4096, G) fiber values are held at once.  The product order
-    differs from a step-by-step product, so results agree with it to
-    rounding, not bit for bit.
+    The runs of RESCALE_EVERY steps (`_period_products`) extend the running
+    product in order: the first run of each block continues it, the others
+    are multiplied onto it, and it is rescaled to max entry 1 after every
+    full run, with the logs of the factors kept apart.  So no partial
+    product covers more than RESCALE_EVERY consecutive steps, and no more
+    than max(2^16, 4G) fiber values are held at once.  Where every block
+    holds one run (a Schrodinger series on more than 1 024 points), the
+    product is in step order, which keeps products that cancel past float64
+    as close to exact as a step-by-step product; elsewhere runs other than
+    a block's first fold onto the running product as units, and results
+    agree with a step-by-step product to rounding, not bit for bit.
     """
+    swap = n < 0 and _schrodinger_shaped(c.series)
     if n < 0:
-        (a11, a12), (a21, a22) = c.series.coeffs
-        adj = FourierSeries(np.array([[a22, -a12], [-a21, a11]]), c.series.real_flag)
-        thetas, n, c = thetas - c.alpha, -n, QpCocycle(-c.alpha, adj)
+        A = c.series
+        if not swap:
+            (a11, a12), (a21, a22) = A.coeffs
+            A = FourierSeries(np.array([[a22, -a12], [-a21, a11]]), A.real_flag)
+        thetas, n, c = thetas - c.alpha, -n, QpCocycle(-c.alpha, A)
     G = thetas.size
     acc = np.zeros((2, 2, G))
     acc[0, 0] = acc[1, 1] = 1.0
     log_scale = np.zeros(G)
-    j = 0
-    for vals in _grid_chunks(c, thetas, n):
-        acc = sl2._mul(sl2._chunk_product(vals), acc)
-        j += vals.shape[2]
-        if j % RESCALE_EVERY == 0:
-            s = np.max(np.abs(acc), axis=(0, 1))
-            acc /= s
-            log_scale += np.log(s)
-    return np.ascontiguousarray(np.moveaxis(acc, -1, 0)), log_scale
+    rescales = n // RESCALE_EVERY  # one after each full run, none after a short last one
+    stacks = _period_products(c, thetas, n, RESCALE_EVERY)
+    prods = next(stacks, None)
+    while prods is not None:
+        for r in range(prods.shape[2]):
+            acc = sl2._mul(prods[:, :, r], acc) if r else prods[:, :, 0]  # run 0 continues acc
+            if rescales:
+                rescales -= 1
+                s = np.max(np.abs(acc).reshape(4, G), axis=0)
+                acc /= s
+                log_scale += np.log(s)
+        try:
+            prods = stacks.send(acc)
+        except StopIteration:
+            prods = None
+    if swap:
+        acc = acc[::-1, ::-1]
+    return np.ascontiguousarray(acc.transpose(2, 0, 1)), log_scale
 
 
 def finite_lyapunov(c: QpCocycle, n: int, grid: int = 128) -> float:
@@ -173,26 +266,24 @@ def lyapunov_det_drift(c: QpCocycle, n: int) -> float:
     The determinant is exactly multiplicative across blocks, so the total
     arithmetic drift is the sum of per-block |ln det| values; blocks of 4
     steps are short enough that each block product is well-conditioned and
-    its determinant is computable at float precision.  The blocks are formed
-    by the pairwise `_chunk_product` of `_transfer_grid`, so the drift is that
-    of the arithmetic `_transfer_grid` does.  Max over a 64-point theta grid.
+    its determinant is computable at float precision.  The blocks are runs
+    of `_period_products`, which steps them as `_transfer_grid` steps its
+    runs, so the drift is that of the arithmetic `_transfer_grid` does.  Max
+    over a 64-point theta grid.
     """
     drift = np.zeros(64)
-    for vals in _grid_chunks(c, np.arange(64) / 64, n):
-        pad = -vals.shape[2] % 4  # the last block of a short product, filled up with identities
-        if pad:
-            eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, pad, 64))
-            vals = np.concatenate([vals, eye], axis=2)
-        p = sl2._chunk_product(vals.reshape(2, 2, -1, 4, 64).swapaxes(2, 3))
+    for p in _period_products(c, np.arange(64) / 64, n, 4):
         drift += np.sum(np.abs(np.log(np.abs(sl2.det2(np.moveaxis(p, (0, 1), (-2, -1)))))), axis=0)
     return float(np.max(drift))
 
 
-def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
+def _orbit_fibers(c: QpCocycle, theta0: float, n: int, x_only: bool = False):
     """Fibers along the orbit theta0 + j alpha, j = 0..n-1, in blocks of at most 4096 points.
 
-    Yields (thetas, mats).  A block is cut into sub-blocks of R points:
-    point r of sub-block i sits at theta = (t_i + s_r) mod 1, where
+    Yields (thetas, mats), or with x_only (thetas, x): the (0, 0) entries
+    alone, the x of a Schrodinger-shaped series (`_schrodinger_shaped`),
+    whose other entries are constants.  A block is cut into sub-blocks of R
+    points: point r of sub-block i sits at theta = (t_i + s_r) mod 1, where
     s_r = r alpha mod 1 and t_i = (block start + (i R alpha mod 1)) mod 1,
     so the thetas carry the bits the phases below are built from.  Each
     block is one product phase @ C instead of an exponential per point and
@@ -205,6 +296,8 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
     """
     A = c.series
     ks, cols = _modes(A)
+    if x_only:
+        cols = cols[:, :1]
     steps = _frac(c.alpha * np.arange(min(sl2._BATCH, n)))
     R = sl2._BATCH
     while R > 64 and R * ks.size > _PHASE_ENTRIES:
@@ -224,7 +317,8 @@ def _orbit_fibers(c: QpCocycle, theta0: float, n: int):
         C = np.exp(2j * np.pi * np.outer(ks, t))[:, :, None] * cols[:, None, :]
         vals = phase @ C.reshape(ks.size, -1)
         del C  # not held while the next block builds its own
-        vals = vals.reshape(len(sub), -1, 4).swapaxes(0, 1).reshape(-1, 2, 2)[:m]
+        vals = vals.reshape(len(sub), -1, cols.shape[1]).swapaxes(0, 1).reshape(-1, cols.shape[1])[:m]
+        vals = vals[:, 0] if x_only else vals.reshape(-1, 2, 2)
         yield thetas, (np.real(vals) if A.real_flag else vals)
         th = (th + c.alpha * m) % 1.0
 
@@ -234,7 +328,9 @@ def _orbit_vectors(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     Runs _CHAIN sequential steps of prefix products, vectorized over the
     sub-blocks and rescaled at every step, then chains the sub-blocks with
-    one product each.
+    one product each.  A Schrodinger-shaped series takes `_orbit_x_vectors`
+    instead, which steps its one varying entry and rescales only as overflow
+    requires.
     """
     m = len(mats)
     nb = -(-m // _CHAIN)
@@ -254,6 +350,43 @@ def _orbit_vectors(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (pre @ starts[:, None, :, None]).reshape(nb * _CHAIN, 2)[:m]
 
 
+def _orbit_x_vectors(x: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """S(x_i) ... S(x_0) vec for i = 0..m-1 with S(x) = [[x, -1], [1, 0]], each up to a positive factor.
+
+    The prefix products of sub-blocks of C steps run vectorized over the
+    sub-blocks by the recurrence of their upper rows, u_i = x_i u_{i-1} -
+    u_{i-2}, since the lower row of S(x) P is the upper row of P.  A step
+    grows or shrinks a row by at most a factor 1 + |x| (S(x)^{-1} has the
+    same max-norm), so with (2 + max|x|)^C <= 2^960 nothing is rescaled
+    within a sub-block: C = _CHAIN up to |x| ~ 3e4.  The sub-blocks are then
+    chained with one product each.
+    """
+    m = x.size
+    C = min(_CHAIN, max(1, int(960 / math.log2(2.0 + float(np.max(np.abs(x)))))))
+    nb = -(-m // C)
+    steps = np.zeros(nb * C)
+    steps[:m] = x
+    steps = np.ascontiguousarray(steps.reshape(nb, C).T)
+    # rows[i + 2] is the upper row after step i; rows[1] and rows[0] are those of the identity
+    rows = np.empty((C + 2, 2, nb))
+    rows[0, 0] = rows[1, 1] = 0.0
+    rows[0, 1] = rows[1, 0] = 1.0
+    for i in range(C):
+        np.multiply(steps[i], rows[i + 1], out=rows[i + 2])
+        rows[i + 2] -= rows[i]
+    (a, b), (c, d) = rows[C + 1].tolist(), rows[C].tolist()
+    u, v = (float(e) for e in vec)
+    starts = []
+    for k in range(nb):
+        starts.append((u, v))
+        u, v = a[k] * u + b[k] * v, c[k] * u + d[k] * v
+        h = math.hypot(u, v)
+        u, v = u / h, v / h
+    su, sv = np.array(starts).T
+    y = rows[:, 0] * su + rows[:, 1] * sv
+    return np.stack([y[2:], y[1:-1]], axis=-1).swapaxes(0, 1).reshape(nb * C, 2)[:m]
+
+
 def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
     """Fibered rotation number from one projective orbit, from theta = 0 and angle 0.3 pi.
 
@@ -268,6 +401,11 @@ def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
     fiber has winding 0, and LiftResolutionError where an orbit angle is a
     quarter turn or more from its reference lift.
 
+    A Schrodinger-shaped series (`_schrodinger_shaped`) reads only its
+    varying entry x along the orbit: the angle of A(theta) e_1 = (x, 1) is
+    arctan2(1, x), and the orbit vectors come from the recurrence of
+    `_orbit_x_vectors`.
+
     Returns {"rho", "error_bar"}; error_bar is the maximal fluctuation of the
     partial averages over the last decade of the orbit.
     """
@@ -281,19 +419,20 @@ def rotation_number(c: QpCocycle, n: int = 200_000) -> dict:
     total = 0.0
     averages = []  # at the powers of two from n // 10 on, and at n
     j = 0
-    for thetas, mats in _orbit_fibers(c, 0.0, n):
-        m = len(mats)
+    schro = _schrodinger_shaped(c.series)
+    for thetas, vals in _orbit_fibers(c, 0.0, n, schro):
+        m = len(vals)
         pos = thetas * _LIFT_GRID
         i0 = np.minimum(pos.astype(int), _LIFT_GRID - 1)
         ref = lift[i0] + (pos - i0) * (lift[i0 + 1] - lift[i0])
-        raw = np.arctan2(mats[:, 1, 0], mats[:, 0, 0]) / np.pi
+        raw = (np.arctan2(1.0, vals) if schro else np.arctan2(vals[:, 1, 0], vals[:, 0, 0])) / np.pi
         a = raw + 2.0 * np.round((ref - raw) / 2.0)
         off = np.abs(a - ref)
         if np.max(off) >= 0.5:
             raise LiftResolutionError(
                 f"orbit angle {np.max(off):.3f} pi from the reference lift at theta="
                 f"{thetas[np.argmax(off)]:.6f}; the {_LIFT_GRID}-point grid does not resolve the fiber")
-        vecs = _orbit_vectors(mats, vec)
+        vecs = _orbit_x_vectors(vals, vec) if schro else _orbit_vectors(vals, vec)
         xs = np.concatenate(([x], np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]) / np.pi, 1.0)))
         d = a + np.mod(xs[1:] - a, 1.0) - xs[:-1]
         totals = np.cumsum(np.concatenate(([total], d)))[1:]

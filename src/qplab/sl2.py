@@ -5,11 +5,14 @@ matrices can be processed without Python loops.  The exp/log routines use the
 closed forms available for traceless 2x2 matrices (X^2 = -det(X) * I), which
 is both faster and more accurate than general-purpose expm/logm.
 
-The one transfer-product kernel (`_mul`, `_chunk_product`, `_chunk_steps`)
-works instead on the entry-major layout (2, 2, ...): a product over P points
-takes its steps in chunks (2, 2, m, P) of m = `_chunk_steps(P)` steps and
-multiplies each chunk by pairwise reduction, entrywise on contiguous arrays.
-`cocycle._transfer_grid` and `spectra.Discriminant.block` both run on it.
+The transfer-product kernels work instead on the entry-major layout
+(2, 2, ...).  `_mul` multiplies two stacks entrywise on contiguous arrays;
+`cocycle`'s grid products step by it, in step order, for fibers that are not
+Schrodinger-shaped.  The pairwise kernel (`_chunk_product`, `_chunk_steps`)
+takes the steps of a product over P points in chunks (2, 2, m, P) of
+m = `_chunk_steps(P)` steps and multiplies each chunk by pairwise
+reduction; `spectra.Discriminant.block` runs on it, since its Chambers
+deviations are checked at a precision the product order moves.
 """
 
 from __future__ import annotations

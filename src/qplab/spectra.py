@@ -3,8 +3,8 @@ sets, the intersection/union spectra, the integrated density of states, and
 interval-set distances.
 
 The discriminant t_{p/q}(E, theta) is the trace of the period-q transfer
-block; |t| <= 2 cuts out the q bands.  The block runs on the transfer-product
-kernel of `sl2` that `cocycle._transfer_grid` also uses: V at the q shifted
+block; |t| <= 2 cuts out the q bands.  The block runs on the pairwise
+transfer-product kernel of `sl2`: V at the q shifted
 phases comes from one product of a phase matrix with a shift matrix per chunk
 of steps, and each chunk of fibers is multiplied by pairwise reduction, not
 step by step, so traces agree with a sequential product to rounding.

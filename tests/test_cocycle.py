@@ -13,8 +13,11 @@ from qplab.cocycle import (
     QpCocycle,
     WindingError,
     _frac,
-    _grid_chunks,
+    _grid_fibers,
     _orbit_fibers,
+    _orbit_x_vectors,
+    _period_products,
+    _schrodinger_shaped,
     _transfer_grid,
     amo,
     cocycle_property_residual,
@@ -87,9 +90,12 @@ def _near_rotation_series(rng):
 
 
 def _kernel_fibers(c, thetas, n):
-    """The fibers of `_grid_chunks`, one (G, 2, 2) array per step."""
-    for chunk in _grid_chunks(c, thetas, n):
-        yield from np.moveaxis(chunk, (0, 1), (-2, -1))
+    """The fibers `_transfer_grid` multiplies, from its builder `_grid_fibers`, one (G, 2, 2) array per step."""
+    schro = _schrodinger_shaped(c.series)
+    vals = _grid_fibers(c, thetas, schro)[0](np.arange(n))
+    if schro:  # [[x, -1], [1, 0]], the x exactly
+        return sl2.schrodinger_fiber(-vals, 0.0)
+    return np.moveaxis(vals.reshape(n, 2, 2, thetas.size), -1, 1)
 
 
 def _transfer_grid_steps(c, thetas, n):
@@ -193,50 +199,63 @@ def test_transfer_trivial_steps():
     assert np.allclose(back, np.linalg.inv(c.series(0.2 - GOLDEN)), atol=1e-12)
 
 
+_RECURRENCE_NS = (-40, -7, -1, 0, 1, 2, 31, 32, 33, 500, 4000)
+_RECURRENCE_GRIDS = (1, 3, 128, 2688)
+
+
+def _check_against_per_step_product(c, ln_tol, unit_tol, rel_tol=0.0):
+    """_transfer_grid at every n of _RECURRENCE_NS on every grid of _RECURRENCE_GRIDS
+    against the per-step product `_transfer_steps` at three phases of the grid.
+
+    n = 0 is the identity exactly.  n = 1 is the fiber and n = -1 the
+    adjugate at theta - alpha, within 1e-14 on the whole grid.  ln||A_n||
+    agrees within max(ln_tol, rel_tol |ln||A_n|||), the normalized matrices
+    within unit_tol.
+    """
+    for G in _RECURRENCE_GRIDS:
+        th = _frac(np.arange(G) / G + 0.01)
+        for n in _RECURRENCE_NS:
+            mats, ls = _transfer_grid(c, th, n)
+            assert mats.shape == (G, 2, 2) and ls.shape == (G,) and mats.flags.c_contiguous
+            if n == 0:
+                assert np.array_equal(mats, np.broadcast_to(np.eye(2), mats.shape)) and not np.any(ls)
+            if n in (1, -1):
+                fiber = c.series(th) if n == 1 else sl2.inv_det1(c.series(np.mod(th - c.alpha, 1.0)))
+                gap = np.max(np.abs(mats - fiber))
+                assert gap <= 1e-14 and not np.any(ls), (G, n, gap)
+            for i in sorted({0, G // 3, G - 1}):
+                ref, ref_ls = _transfer_steps(c, float(th[i]), n)
+                ln = _ln_norms(ref, ref_ls)
+                gap = abs(_ln_norms(mats[i], ls[i]) - ln)
+                assert gap <= max(ln_tol, rel_tol * abs(ln)), (G, n, i, gap)
+                unit = np.max(np.abs(mats[i] / np.max(np.abs(mats[i])) - ref / np.max(np.abs(ref))))
+                assert unit <= unit_tol, (G, n, i, unit)
+
+
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 def test_grid_products_of_any_n_match_per_step_product(lam):
-    """_transfer_grid at n <= 0 and n > 0 against the per-step product, to the
-    tolerances of test_grid_products_match_per_step_evaluation; n = 0 exactly.
-
-    At n = 1 and n = -1 the product is one fiber from the chunk kernel, which
-    sums the modes in another order than point evaluation: they agree to
-    1e-14 (measured: 0 at n = 1, 1.8e-15 at n = -1).
+    """_transfer_grid on almost Mathieu, stepped by the Schrodinger recurrence, against the
+    per-step product, to the tolerances of test_grid_products_match_per_step_evaluation:
+    1e-11 in ln||A_n|| and in the normalized matrices (measured: at most 7.3e-12 in ln||A_n||,
+    at n = 4000 and lam = 3 where ln||A_n|| ~ 4 400, and 4.0e-13), and 1e-14 for the single
+    fibers at n = 1 and n = -1 (measured: at most 6.9e-15).
     """
     c = amo(lam, 0.4, GOLDEN)
-    th = np.array([0.0, 0.123, 0.5, 0.871])
-    for n in (-40, -7, -1, 0, 1, 2, 33, 500):
-        mats, ls = _transfer_grid(c, th, n)
-        assert mats.shape == (th.size, 2, 2) and ls.shape == (th.size,)
-        if n == 0:
-            assert np.array_equal(mats, np.broadcast_to(np.eye(2), mats.shape)) and not np.any(ls)
-        if n == 1:
-            assert np.max(np.abs(mats - c.series(th))) <= 1e-14 and not np.any(ls)
-        if n == -1:
-            inv = sl2.inv_det1(c.series(np.mod(th - GOLDEN, 1.0)))
-            assert np.max(np.abs(mats - inv)) <= 1e-14 and not np.any(ls)
-        for i, t in enumerate(th):
-            ref, ref_ls = _transfer_steps(c, float(t), n)
-            gap = abs(_ln_norms(mats[i], ls[i]) - _ln_norms(ref, ref_ls))
-            assert gap <= 1e-11, (n, t, gap)
-            unit = mats[i] / np.max(np.abs(mats[i]))
-            assert np.max(np.abs(unit - ref / np.max(np.abs(ref)))) <= 1e-11, (n, t)
+    assert _schrodinger_shaped(c.series)
+    _check_against_per_step_product(c, 1e-11, 1e-11)
 
 
 @pytest.mark.parametrize("E", [0.5, 2.5])
 def test_grid_products_of_a_high_degree_potential_match_per_point_product(E):
     """_transfer_grid on the K = 40 Schrodinger cocycle against the per-point product of
-    _transfer_steps, with the same thetas: 1e-12 in ln||A_n|| and 1e-13 in the normalized
-    matrices (measured: at most 1.1e-13 at ln||A_n|| ~ 400, and 2.4e-15)."""
+    _transfer_steps: 1e-12 in ln||A_n|| and 1e-13 in the normalized matrices (measured: at
+    most 1.1e-13 for |n| <= 500, and 1.8e-14).  At n = 4000 and E = 2.5, ln||A_n|| ~ 3 338
+    and the bound is 2e-15 of it: the parent's pairwise kernel read the same 2.3e-12 gap
+    there, so it is the reference's rounding.
+    """
     c = schrodinger(ud_potential(), E, GOLDEN)
-    th = np.arange(16) / 16 + 0.01
-    for n in (-7, 1, 500):
-        mats, ls = _transfer_grid(c, th, n)
-        for i, t in enumerate(th):
-            ref, ref_ls = _transfer_steps(c, float(t), n)
-            gap = abs(_ln_norms(mats[i], ls[i]) - _ln_norms(ref, ref_ls))
-            assert gap <= 1e-12, (n, t, gap)
-            unit = mats[i] / np.max(np.abs(mats[i]))
-            assert np.max(np.abs(unit - ref / np.max(np.abs(ref)))) <= 1e-13, (n, t)
+    assert _schrodinger_shaped(c.series)
+    _check_against_per_step_product(c, 1e-12, 1e-13, rel_tol=2e-15)
 
 
 def test_cocycle_property():
@@ -317,11 +336,41 @@ def _rotation_number_cases(rng):
 
 
 def test_rotation_number_matches_per_step_loop(rng):
+    """Every Schrodinger case (almost Mathieu and the K = 40 V) runs on the orbit of x alone."""
     for label, c, n in _rotation_number_cases(rng):
+        assert _schrodinger_shaped(c.series) == label.startswith("schrodinger"), label
         out = rotation_number(c, n=n)
         ref = _rotation_number_loop(c, n)
         assert rho_dist(out["rho"], ref["rho"]) <= 1e-12, label
         assert abs(out["error_bar"] - ref["error_bar"]) <= 1e-12, label
+
+
+@pytest.mark.parametrize("scale", [1.0, 3e4, 1e40, 1e200])
+def test_orbit_x_vectors_match_exact_product(scale):
+    """Directions of `_orbit_x_vectors` against a 60-digit product of the fibers [[x, -1], [1, 0]].
+
+    Past |x| ~ 3e4 the sub-blocks shorten, so that no prefix leaves float
+    range unrescaled.  The angles agree mod pi to 1e-11 (measured: 2.2e-12
+    at scale 1, 4.4e-16 above; the matrix chain of `_orbit_vectors` reads
+    5.3e-12 at scale 1).
+    """
+    import mpmath as mp
+
+    x = scale * np.random.default_rng(7).uniform(-3.0, 3.0, 5000)
+    vec = np.array([math.cos(0.3 * math.pi), math.sin(0.3 * math.pi)])
+    got = _orbit_x_vectors(x, vec)
+    assert got.shape == (x.size, 2) and np.all(np.isfinite(got))
+    exact = np.empty(x.size)
+    with mp.workdps(60):
+        u, v = mp.mpf(vec[0]), mp.mpf(vec[1])
+        for i, xi in enumerate(x.tolist()):
+            u, v = xi * u - v, u
+            h = mp.sqrt(u * u + v * v)
+            u, v = u / h, v / h
+            exact[i] = float(mp.atan2(v, u))
+    turn = np.arctan2(got[:, 1], got[:, 0]) - exact
+    gap = np.max(np.abs((turn + np.pi / 2) % np.pi - np.pi / 2))
+    assert gap <= 1e-11, (scale, gap)
 
 
 def test_rotation_number_against_ids():
@@ -385,6 +434,9 @@ def test_orbit_fibers_keep_their_theta_bits():
             want = _frac(th + steps[:min(4096, n - j)])
             assert np.array_equal(thetas, want) and mats.shape == (want.size, 2, 2)
             th = (th + GOLDEN * len(want)) % 1.0
+        for (thetas, mats), (x_thetas, x) in zip(blocks, _orbit_fibers(c, theta0, n, x_only=True)):
+            assert np.array_equal(x_thetas, thetas) and x.shape == (len(thetas),)
+            assert np.max(np.abs(x - mats[:, 0, 0])) <= 1e-14
 
 
 @pytest.mark.parametrize("K,kind,bound_mib", [(200, "real", 4), (200, "complex", 4), (1500, "real", 12)])
@@ -414,16 +466,17 @@ def _ln_norms(mats, log_scale):
 
 @pytest.mark.parametrize("E", [0.0, 2.0])
 def test_grid_products_match_per_step_evaluation(E):
-    """Pairwise chunk products agree with the sequential per-step product to a stated tolerance.
+    """Grid products agree with the sequential per-step matrix product to a stated tolerance.
 
-    Both multiply the same fibers, those of `_grid_chunks`, whose agreement
+    Both multiply the same fibers, those of `_grid_fibers`, whose agreement
     with point evaluation test_grid_chunks_end_on_rescaling_steps checks.
-    The order of the products changed, so only n = 1 is bit-identical; the
-    tolerances are about twice the deviations seen at n = 1000 on 1000
-    points (5.7e-12 in ln||A_n||, 4.2e-12 in the normalized matrices).
+    Runs of RESCALE_EVERY steps other than a block's first fold onto the
+    running product as units, so only n = 1 is bit-identical; the tolerances
+    are about twice the deviations the pairwise kernel saw at n = 1000 on
+    1000 points (5.7e-12 in ln||A_n||, 4.2e-12 in the normalized matrices).
     """
     c = amo(3.0, E, GOLDEN)
-    # 128 points take 32 steps per chunk, 600 and 1000 points take 4
+    # 128 points take 16 runs of 32 steps per block, 600 and 1000 points 3 and 2
     for th in (np.arange(128) / 128, np.arange(600) / 600, np.arange(1000) / 1000):
         for n in (1, 31, 32, 100, 1000):
             mats, ls = _transfer_grid(c, th, n)
@@ -443,7 +496,7 @@ def test_grid_products_match_per_step_evaluation(E):
 
 @pytest.mark.parametrize("E", [0.0, 2.0])
 def test_grid_products_match_exact_product(E):
-    """ln||A_n|| of _transfer_grid against a 50-digit product of the same float fibers (`_grid_chunks`)."""
+    """ln||A_n|| of _transfer_grid against a 50-digit product of the same float fibers (`_grid_fibers`)."""
     import mpmath as mp
 
     c = amo(3.0, E, GOLDEN)
@@ -474,12 +527,12 @@ def test_frac_matches_np_mod():
 
 @pytest.mark.parametrize("P", [1, 64, 100, 128, 600, 1000, 1664, 4352])
 def test_chunk_steps_rule(P, monkeypatch):
-    """m is the largest power of two dividing RESCALE_EVERY with m P <= 4096, or 1;
-    the discriminant block takes its chunks by it as `_grid_chunks` does."""
+    """m is the largest power of two dividing sl2._CHUNK with m P <= 4096, or 1,
+    and the discriminant block takes its chunks by it."""
     m = sl2._chunk_steps(P)
-    assert RESCALE_EVERY % m == 0 and m & (m - 1) == 0
+    assert sl2._CHUNK % m == 0 and m & (m - 1) == 0
     assert m * P <= 4096 or m == 1
-    assert m == RESCALE_EVERY or 2 * m * P > 4096
+    assert m == sl2._CHUNK or 2 * m * P > 4096
     seen, product = [], sl2._chunk_product
     monkeypatch.setattr(sl2, "_chunk_product", lambda v: seen.append(v.shape) or product(v))
     spectra.Discriminant(FourierSeries.cosine(1.0), 43, 70).block(0.3, np.arange(P) / P)
@@ -487,23 +540,130 @@ def test_chunk_steps_rule(P, monkeypatch):
 
 
 @pytest.mark.parametrize("G", [1, 64, 100, 128, 600, 1000, 1664, 4352])
-def test_grid_chunks_end_on_rescaling_steps(G):
-    """Chunks hold sl2._chunk_steps(G) steps, so each ends on a rescaling step.
+def test_grid_chunks_end_on_rescaling_steps(G, rng):
+    """A grid product multiplies runs of RESCALE_EVERY steps, each ending on a rescaling step.
 
-    Every step agrees with point evaluation at theta + (j alpha mod 1) to
-    1e-13 (measured: at most 1.1e-14, 48 eps).
+    `_period_products` yields the runs in step order: n = 70 gives runs of
+    32, 32 and 6 steps, each the sequential product of its own fibers to
+    1e-13 relative, for a Schrodinger-shaped series (the recurrence;
+    measured: bit for bit) and a general one (`sl2._mul`; measured: at most
+    1.8e-15).  _transfer_grid rescales after each full run, so at n = 64
+    every product has max entry exactly 1, and not after the last, short
+    one, so n = 70 keeps the log scales of n = 64 bit for bit.  Those agree
+    with the per-step product rescaled every RESCALE_EVERY steps to 1e-12
+    relative (measured: at most 1.3e-14; a run folds onto the running
+    product as a unit).  The builder's fibers agree with point evaluation
+    at theta + (j alpha mod 1) to 1e-13 (measured: at most 1.1e-14, 48 eps).
     """
-    c = amo(3.0, 0.5, GOLDEN)
     th = np.arange(G) / G
     n = 70
-    chunks = list(_grid_chunks(c, th, n))
-    m = sl2._chunk_steps(G)
-    assert [v.shape[2] for v in chunks] == [m] * (n // m) + ([n % m] if n % m else [])
-    for k, v in enumerate(chunks):
-        assert v.shape == (2, 2, v.shape[2], G) and v.flags.c_contiguous
-        for i in range(v.shape[2]):
-            ref = np.moveaxis(c.series(_frac(th + _frac((k * m + i) * c.alpha))), 0, -1)
-            assert np.max(np.abs(v[:, :, i] - ref)) <= 1e-13, (G, k, i)
+    for c in (amo(3.0, 0.5, GOLDEN), QpCocycle(GOLDEN, _near_rotation_series(rng))):
+        fibers = _kernel_fibers(c, th, n)
+        for j in range(n):
+            ref = c.series(_frac(th + _frac(j * c.alpha)))
+            assert np.max(np.abs(fibers[j] - ref)) <= 1e-13, (G, j)
+        runs = np.concatenate([np.moveaxis(p, (0, 1), (-2, -1))
+                               for p in _period_products(c, th, n, RESCALE_EVERY)])
+        assert runs.shape == (3, G, 2, 2)
+        for r, (j0, j1) in enumerate(((0, 32), (32, 64), (64, 70))):
+            ref = np.broadcast_to(np.eye(2), (G, 2, 2))
+            for f in fibers[j0:j1]:
+                ref = f @ ref
+            scale = np.max(np.abs(ref), axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(runs[r] - ref) / scale) <= 1e-13, (G, r)
+        mats, ls = _transfer_grid(c, th, 64)
+        assert np.all(np.max(np.abs(mats), axis=(1, 2)) == 1.0)
+        assert np.array_equal(_transfer_grid(c, th, n)[1], ls)
+        ref_ls = _transfer_grid_steps(c, th, 64)[1]
+        assert np.max(np.abs(ls - ref_ls) / np.maximum(np.abs(ref_ls), 1.0)) <= 1e-12, G
+
+
+def test_grid_products_on_large_grids_keep_step_order():
+    """On a grid of more than 1 024 points each block of a Schrodinger product holds one run, and
+    a block's first run continues the running product, so the product is multiplied in step order.
+
+    That order matters where a product cancels past float64.  On the
+    `qplab ldt` grid at q = 21 (alpha = 13/21, lam = 3, E = 0, N = 83,
+    2 688 points), ln||A_N|| is within 1.0 of a 120-digit product of the
+    same float fibers on every phase whose screen sum_j ln||A(theta_j)|| -
+    ln||A_N|| exceeds 52 ln 2 (42 phases; measured: at most 0.0085).  Folding
+    each run onto the running product from the identity read up to 11.6
+    there, and the per-point product `_transfer_steps` reads 0.025 from its
+    own fibers.
+    """
+    import mpmath as mp
+
+    c = QpCocycle(13 / 21, amo(3.0, 0.0, GOLDEN).series)
+    N, th = 83, np.arange(2688) / 2688
+    mats, ls = _transfer_grid(c, th, N)
+    ln = _ln_norms(mats, ls)
+    fibers = _kernel_fibers(c, th, N)
+    unresolved = np.flatnonzero(np.sum(np.log(sl2.op_norm(fibers)), axis=0) - ln > 52 * math.log(2))
+    assert unresolved.size == 42
+    with mp.workdps(120):
+        for i in unresolved:
+            acc = mp.eye(2)
+            for f in fibers[:, i]:
+                acc = mp.matrix(f.tolist()) * acc
+            f2 = sum(x * x for x in acc)
+            det = acc[0, 0] * acc[1, 1] - acc[0, 1] * acc[1, 0]
+            exact = float(mp.log(mp.sqrt((f2 + mp.sqrt(f2 * f2 - 4 * det * det)) / 2)))
+            assert abs(ln[i] - exact) <= 1.0, (i, ln[i], exact)
+
+
+@pytest.mark.parametrize("G", [1, 3, 128, 2688, 70_000])
+def test_grid_products_hold_bounded_values(G, rng, monkeypatch):
+    """Each build of fiber values holds at most max(2^16, entries G) values and 2^16 step phases.
+
+    A Schrodinger series builds its one entry x, any other its four, and a
+    grid of more than 2^16 points is built one step at a time.
+    """
+    import qplab.cocycle as cocycle
+
+    builder, seen = cocycle._grid_fibers, []
+
+    def recording(c, thetas, x_only):
+        values, held = builder(c, thetas, x_only)
+        modes = c.series.K + 1
+        return (lambda js: seen.append((js.size, 1 if x_only else 4, modes)) or values(js)), held
+
+    monkeypatch.setattr(cocycle, "_grid_fibers", recording)
+    th = np.arange(G) / G
+    n = 100 if G > 4096 else 2000
+    for c in (schrodinger(ud_potential(), 0.5, GOLDEN), QpCocycle(GOLDEN, _near_rotation_series(rng))):
+        seen.clear()
+        _transfer_grid(c, th, n)
+        assert sum(steps for steps, _, _ in seen) == n
+        for steps, entries, modes in seen:
+            assert steps * entries * G <= max(2**16, entries * G), (G, steps, entries)
+            assert steps * 2 * modes <= 2**16, (G, steps, modes)
+
+
+@pytest.mark.parametrize("label,bound_mib", [("finite_lyapunov K=40", 1.5), ("ldt_experiment q=34", 2)])
+def test_grid_products_memory_is_capped(label, bound_mib):
+    """Peak allocation of a grid product, under tracemalloc, after a first call.
+
+    finite_lyapunov of the K = 40 Schrodinger cocycle at n = 2000 on 128
+    points peaked at 0.98 MiB with the pairwise chunk kernel and 1.07 MiB
+    with the recurrence (blocks of 512 steps, whose x values take 0.5 MiB);
+    ldt_experiment at q = 34 (4 352 points, N = 166) at 1.58 and 1.07 MiB.
+    """
+    from qplab.ldt import ldt_experiment
+
+    if label.startswith("finite"):
+        c = schrodinger(ud_potential(), 0.5, GOLDEN)
+        run = lambda: finite_lyapunov(c, 2000, 128)  # noqa: E731
+    else:
+        run = lambda: ldt_experiment(amo(3.0, 0.0, GOLDEN), 21, 34, N=166, kappa=0.05,  # noqa: E731
+                                     grid_mult=128)
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak
 
 
 def test_renorm_level_one_is_single_fiber(golden_cf):

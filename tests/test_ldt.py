@@ -71,6 +71,46 @@ def test_ldt_experiment_decay():
     assert ms[0] > ms[1] > ms[2]
 
 
+def test_ldt_measure_moves_only_through_unresolved_phases():
+    """ldt_experiment at q = 21 (the `qplab ldt` row) against the per-step product of every phase.
+
+    A phase is unresolved in float64 when sum_j ln||A(theta_j)|| - ln||A_N(theta)||
+    > 52 ln 2: its product cancels past the precision of its factors, so
+    fibers that differ in the last bit, or two product orders, may read it
+    differently.  42 of the 2 688 phases are (screens 88.6 to 108).  Every
+    phase whose ln||A_N|| differs from the per-step product's by more than
+    1e-9 is one of them (measured: at most 2.5e-12 on the others, 0.70 on
+    them).  They alone move the grid mean L_N, and every deviation flag
+    that differs from the per-step product's sits on one of them or within
+    that move of kappa (measured: none differs).  Folding whole runs of 32
+    steps onto the running product at these 2 688 phases moved ln||A_N|| on
+    them by up to 11.6 and flipped 8 resolved phases next to kappa; each
+    stack's first run now continues the running product, which keeps this
+    grid in step order.
+    """
+    from test_cocycle import _ln_norms, _transfer_steps
+
+    a, q, kappa = 13, 21, 0.05
+    N = int(round(q**1.45))
+    G = 128 * q
+    c = amo(3.0, 0.0, GOLDEN)
+    rat = QpCocycle(a / q, c.series)
+    th = np.arange(G) / G
+    mats, ls = _transfer_grid(rat, th, N)
+    ln = np.log(sl2.op_norm(mats)) + ls
+    ref = np.array([_ln_norms(*_transfer_steps(rat, float(t), N)) for t in th])
+    steps = rat.series(np.mod(th[:, None] + np.mod(rat.alpha * np.arange(N), 1.0), 1.0))
+    unresolved = np.sum(np.log(sl2.op_norm(steps)), axis=1) - ref > 52 * math.log(2)
+    assert np.all(unresolved[np.abs(ln - ref) > 1e-9])
+    L, L_ref = float(np.mean(ln / N)), float(np.mean(ref / N))
+    assert abs((L - L_ref) - np.mean(np.where(unresolved, ln - ref, 0.0)) / N) <= 1e-12
+    flipped = (np.abs(ln / N - L) > kappa) != (np.abs(ref / N - L_ref) > kappa)
+    dev = np.abs(ref[flipped & ~unresolved] / N - L_ref)
+    assert np.all(np.abs(dev - kappa) <= abs(L - L_ref) + 1e-12)
+    out = ldt_experiment(c, a, q, N=N, kappa=kappa, grid_mult=128)
+    assert out["L_N"] == L and out["measure"] == np.mean(np.abs(ln / N - L) > kappa)
+
+
 def test_avalanche_constant_diag():
     mu = 50.0
     out = avalanche_check([np.diag([mu, 1 / mu])] * 10, mu)
